@@ -30,6 +30,7 @@ from .linguistic import (
     LinguisticTermSet,
     build_term_set,
     nearest_term,
+    nearest_terms,
     negate_term,
     term_max,
     term_min,

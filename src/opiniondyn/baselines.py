@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import TrajectoryRecord
-from .linguistic import LinguisticTermSet, nearest_term
+from .linguistic import LinguisticTermSet, nearest_terms
 from .metrics import delta_max
 from .network import complete_network
 
@@ -86,10 +86,7 @@ def hk_step(opinions, bounds) -> np.ndarray:
 
 def _baseline_record(values_hist, term_set: LinguisticTermSet, converged: bool,
                      d_max: float) -> TrajectoryRecord:
-    terms_hist = [
-        np.array([nearest_term(term_set, v) for v in vals], dtype=int)
-        for vals in values_hist
-    ]
+    terms_hist = nearest_terms(term_set, values_hist)
     net = complete_network(len(values_hist[0]))
     return TrajectoryRecord.from_states(
         values_hist, terms_hist, [net] * len(values_hist), converged, d_max
@@ -120,7 +117,7 @@ def hk_run(
     converged = False
     for _ in range(t_max):
         averaged = hk_step(x, eps)
-        snapped = term_set.values[[nearest_term(term_set, v) for v in averaged]]
+        snapped = term_set.values[nearest_terms(term_set, averaged)]
         dm = delta_max(x, snapped)
         x = snapped
         values_hist.append(x)

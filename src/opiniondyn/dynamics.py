@@ -11,15 +11,16 @@ ascending), then all rewiring draws (pairs in lexicographic order).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from .config import SimulationConfig, config_from_dict
-from .linguistic import LinguisticTermSet, nearest_term
-from .network import RewiringParams, SocialNetwork, rewire, stats
-from .threeway import ThreeWayThresholds, classify_neighbor
+from .linguistic import LinguisticTermSet, nearest_terms
+from .network import RewiringParams, SocialNetwork, rewire, row_blocks, stats
+from .threeway import ThreeWayThresholds
 
 
 @dataclass
@@ -27,7 +28,8 @@ class StepCounters:
     """Instrumentation for the per-step pair-visit complexity contract.
 
     ``filter_visits`` counts connected ordered pairs examined during
-    neighbor filtering (at most N*(N-1) per step); ``rewire_visits`` counts
+    neighbor filtering, i.e. the size (true entries) of the adjacency mask
+    the filter reads: at most N*(N-1) per step. ``rewire_visits`` counts
     unordered pairs examined during rewiring (exactly N*(N-1)/2 per step).
     Each stays below N^2 per step.
     """
@@ -92,6 +94,42 @@ class TrajectoryRecord:
         )
 
 
+def _filter_links(
+    own: np.ndarray,
+    opinions: np.ndarray,
+    links: np.ndarray,
+    thresholds: ThreeWayThresholds,
+    rng: np.random.Generator,
+    counters: StepCounters | None,
+) -> np.ndarray:
+    """Three-way filter over a block of link rows; returns the accepted links.
+
+    Row r holds the links of an agent with opinion ``own[r]``. Each link is
+    classified as :func:`~opiniondyn.threeway.classify_neighbor` would, with
+    one uniform draw per hesitation-zone link, all taken in one batch in
+    row-major order. Acceptance probabilities come from ``math.exp`` of the
+    same exponents, so every comparison matches the scalar rule bit for bit.
+    """
+    if counters is not None:
+        counters.filter_visits += int(np.count_nonzero(links))
+    dist = np.subtract.outer(own, opinions)
+    np.abs(dist, out=dist)
+    accepted = dist <= thresholds.alpha
+    hesitant = dist >= thresholds.beta
+    hesitant |= accepted
+    np.logical_not(hesitant, out=hesitant)  # NaN distances hesitate, as in the scalar rule
+    hesitant &= links
+    accepted &= links
+    exponents = -thresholds.decay * (dist[hesitant] - thresholds.alpha)
+    del dist
+    unique, inverse = np.unique(exponents, return_inverse=True)
+    probs = np.array([math.exp(e) for e in unique.tolist()])[inverse]
+    rows, cols = np.nonzero(hesitant)
+    take = rng.random(rows.size) < probs
+    accepted[rows[take], cols[take]] = True
+    return accepted
+
+
 def filter_neighbors(
     agent: int,
     opinions: np.ndarray,
@@ -106,15 +144,11 @@ def filter_neighbors(
     classified by the three-way rule, so uniform draws happen exactly for
     hesitation-zone neighbors, in ascending index order.
     """
-    neighbors = np.flatnonzero(net.adjacency[agent])
-    if counters is not None:
-        counters.filter_visits += int(neighbors.size)
-    own = opinions[agent]
-    accepted = [
-        int(j) for j in neighbors
-        if classify_neighbor(abs(own - opinions[j]), thresholds, rng)
-    ]
-    return np.array(accepted, dtype=int)
+    opinions = np.asarray(opinions, dtype=float)
+    row = slice(agent, agent + 1)
+    accepted = _filter_links(opinions[row], opinions, net.adjacency[row],
+                             thresholds, rng, counters)
+    return np.flatnonzero(accepted[0])
 
 
 def update_value(current: float, accepted, opinions: np.ndarray, inertia: float) -> float:
@@ -156,22 +190,22 @@ def step(
     opinions = np.asarray(opinions, dtype=float)
     if opinions.shape != (n,):
         raise ValueError(f"expected {n} opinions, got shape {opinions.shape}")
-    new_values = np.empty(n)
-    new_terms = np.empty(n, dtype=int)
-    for i in range(n):
-        accepted = filter_neighbors(i, opinions, net, thresholds, rng, counters)
-        if accepted.size == 0:
-            # literal no-update: the opinion is carried over untouched
-            new_values[i] = opinions[i]
-            new_terms[i] = nearest_term(term_set, opinions[i])
-            continue
-        averaged = update_value(opinions[i], accepted, opinions, inertia)
-        # The averaged opinion is mapped back to the nearest linguistic term
-        # and the term's value becomes the carried state, so opinions always
-        # sit on the term scale (matching the reported term-valued metrics).
-        term = nearest_term(term_set, averaged)
-        new_terms[i] = term
-        new_values[i] = term_set.values[term]
+    accepted = np.empty((n, n), dtype=bool)
+    for rows in row_blocks(n):
+        accepted[rows] = _filter_links(opinions[rows], opinions, net.adjacency[rows],
+                                       thresholds, rng, counters)
+    # Agents with no accepted neighbor keep their opinion literally; the
+    # others average, then map back to the nearest linguistic term, whose
+    # value becomes the carried state, so opinions always sit on the term
+    # scale (matching the reported term-valued metrics).
+    movers = np.flatnonzero(accepted.any(axis=1))
+    averaged = opinions.copy()
+    for i in movers:
+        averaged[i] = update_value(opinions[i], np.flatnonzero(accepted[i]), opinions, inertia)
+    del accepted
+    new_terms = nearest_terms(term_set, averaged)
+    new_values = opinions.copy()
+    new_values[movers] = term_set.values[new_terms[movers]]
     new_net = rewire(net, opinions, rewiring, rng, counters)
     return StepResult(
         values=new_values,

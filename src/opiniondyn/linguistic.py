@@ -46,7 +46,10 @@ def build_term_set(phi: int, base: float) -> LinguisticTermSet:
         # base = 1 collapses the denominator 2*(base^phi - 1) to zero
         raise ValueError(f"base must be > 1, got {base!r}")
     base = float(base)
-    peak = base**phi
+    try:
+        peak = base**phi
+    except OverflowError:
+        raise ValueError(f"base**phi overflows a float for phi={phi}, base={base}") from None
     # Denominator written as 2*(peak - 1) so that value[phi] divides out to
     # exactly 0.5 and value[2*phi] to exactly 1.0 in floating point.
     denom = 2.0 * (peak - 1.0)
@@ -73,14 +76,22 @@ def term_value(term_set: LinguisticTermSet, index: int) -> float:
     return float(term_set.values[_check_index(term_set, index)])
 
 
-def nearest_term(term_set: LinguisticTermSet, value: float) -> int:
-    """Index of the term whose value is closest to ``value``.
+def nearest_terms(term_set: LinguisticTermSet, values) -> np.ndarray:
+    """Index of the term closest to each value, for an array of any shape.
 
     Exact ties go to the smaller index (argmin returns the first minimum).
+    Every value must lie in [0, 1]; NaN is rejected too.
     """
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"value {value!r} outside [0, 1]")
-    return int(np.argmin(np.abs(term_set.values - value)))
+    x = np.asarray(values, dtype=float)
+    inside = (x >= 0.0) & (x <= 1.0)
+    if not np.all(inside):
+        raise ValueError(f"value {float(x[~inside].flat[0])!r} outside [0, 1]")
+    return np.abs(x[..., None] - term_set.values).argmin(axis=-1)
+
+
+def nearest_term(term_set: LinguisticTermSet, value: float) -> int:
+    """Index of the term whose value is closest to ``value``."""
+    return int(nearest_terms(term_set, value))
 
 
 def negate_term(term_set: LinguisticTermSet, index: int) -> int:

@@ -129,11 +129,24 @@ def stats(net: SocialNetwork) -> NetworkStats:
     )
 
 
+# Pairwise passes work on blocks of whole rows holding about this many pairs,
+# so their float temporaries take O(N) memory rather than O(N^2). Draws are
+# taken row-major, so the concatenated stream is the same for any block size.
+BLOCK_PAIRS = 1 << 16
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive row slices covering ``range(n)``, about BLOCK_PAIRS pairs each."""
+    rows = max(1, BLOCK_PAIRS // n)
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
 def random_network(n: int, edge_prob: float, rng: np.random.Generator) -> SocialNetwork:
     """Erdos-Renyi style random network.
 
     One uniform draw per unordered pair, in ascending (i, j) order; the pair
-    is connected when the draw falls below ``edge_prob``.
+    is connected when the draw falls below ``edge_prob``. The draws are taken
+    one row of the upper triangle at a time, which is the same stream.
     """
     if n < 1:
         raise ValueError(f"network size must be >= 1, got {n}")
@@ -141,9 +154,7 @@ def random_network(n: int, edge_prob: float, rng: np.random.Generator) -> Social
         raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob!r}")
     adj = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                adj[i, j] = adj[j, i] = True
+        adj[i, i + 1:] = adj[i + 1:, i] = rng.random(n - 1 - i) < edge_prob
     return SocialNetwork(adj)
 
 
@@ -167,26 +178,32 @@ def rewire(
     opinions = np.asarray(opinions, dtype=float)
     if opinions.shape != (n,):
         raise ValueError(f"expected {n} opinions, got shape {opinions.shape}")
-    if opinions.size and (opinions.min() < 0.0 or opinions.max() > 1.0):
+    if not np.all((opinions >= 0.0) & (opinions <= 1.0)):
         raise ValueError("opinions must lie in [0, 1]")
 
     old = net.adjacency
     new = old.copy()
     if counters is not None:
         counters.rewire_visits += n * (n - 1) // 2
-    # Eligibility is a pure function of the old state, so the pair scan can be
-    # vectorized; draws then happen only for eligible pairs, still in
-    # lexicographic order (np.nonzero walks the upper triangle row-major).
-    dist = np.abs(opinions[:, None] - opinions[None, :])
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    addable = upper & ~old & (dist < params.delta_add)
-    cuttable = upper & old & (dist > params.delta_cut)
-    for i, j in zip(*np.nonzero(addable | cuttable)):
-        if addable[i, j]:
-            if rng.random() < params.p_add:
-                new[i, j] = new[j, i] = True
-        elif rng.random() < params.p_cut:
-            new[i, j] = new[j, i] = False
+    # Eligibility is a pure function of the old state, so each block of rows
+    # takes the draws of all its eligible pairs at once, still in
+    # lexicographic order (np.nonzero walks the block's upper triangle
+    # row-major).
+    for rows in row_blocks(n):
+        dist = np.subtract.outer(opinions[rows], opinions)
+        np.abs(dist, out=dist)
+        addable = dist < params.delta_add
+        eligible = dist > params.delta_cut
+        del dist
+        addable &= ~old[rows]
+        eligible &= old[rows]
+        eligible |= addable
+        ii, jj = np.nonzero(np.triu(eligible, k=rows.start + 1))
+        add = addable[ii, jj]
+        flip = rng.random(ii.size) < np.where(add, params.p_add, params.p_cut)
+        ii, jj, add = ii[flip] + rows.start, jj[flip], add[flip]
+        new[ii, jj] = add
+        new[jj, ii] = add
     return SocialNetwork(new)
 
 

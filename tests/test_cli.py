@@ -218,6 +218,13 @@ def test_exit_codes(tmp_path, capsys):
     assert missing == 1
 
 
+@pytest.mark.parametrize("phi,base", [(1100, 2.0), (60, 1e6)])
+def test_term_set_overflow_exits_1(tmp_path, capsys, phi, base):
+    cfg = write_config(tmp_path, term_set={"phi": phi, "base": base})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "term_set" in capsys.readouterr().err
+
+
 def test_parse_seed_range():
     assert cli.parse_seed_range("3..6") == [3, 4, 5, 6]
     assert cli.parse_seed_range("9") == [9]

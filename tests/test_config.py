@@ -74,6 +74,14 @@ def test_constraint_violations_name_the_field(patch, path):
     assert path in str(err.value)
 
 
+@pytest.mark.parametrize("phi,base", [(1100, 2.0), (60, 1e6)])
+def test_term_set_overflow_rejected(phi, base):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(minimal() | {"term_set": {"phi": phi, "base": base}})
+    assert err.value.path == "term_set"
+    assert "overflow" in err.value.reason
+
+
 def test_hk_models_require_bounds():
     with pytest.raises(ConfigError) as err:
         config_from_dict(minimal() | {"model": "hk-homogeneous"})

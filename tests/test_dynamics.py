@@ -91,6 +91,13 @@ def test_step_mutual_rejection_changes_nothing():
     assert result.delta_max == 0.0
 
 
+def test_step_rejects_nan_opinion_of_isolated_agent():
+    net = network_from_edges(3, [(0, 1)])
+    with pytest.raises(ValueError):
+        step(np.array([0.5, 0.5, np.nan]), net, TS, THRESH, 0.0, NO_REWIRE,
+             np.random.default_rng(0))
+
+
 def reference_config(**overrides):
     base = dict(
         n_agents=20,

@@ -83,6 +83,8 @@ def test_nearest_term(term_set):
         nearest_term(term_set, 1.5)
     with pytest.raises(ValueError):
         nearest_term(term_set, -0.1)
+    with pytest.raises(ValueError):
+        nearest_term(term_set, float("nan"))
 
 
 def test_nearest_term_tie_goes_to_smaller_index():

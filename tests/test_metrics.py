@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opiniondyn import (
     build_term_set,
@@ -94,12 +96,24 @@ def test_consensus_bounds_with_default_normalizer(opinions):
     assert -1e-12 <= c <= 1.0 + 1e-12
 
 
+def exact_variance(opinions) -> Fraction:
+    values = [Fraction(float(x)) for x in opinions]
+    mean = sum(values) / len(values)
+    return sum((x - mean) ** 2 for x in values) / len(values)
+
+
 @given(opinions=opinions_arrays)
+@example(opinions=np.array([0.0, 8.04e-274]))
 def test_degenerate_equivalences(opinions):
-    is_constant = opinion_range(opinions) == 0.0
-    assert (variance(opinions) == 0.0) == is_constant
-    if is_constant:
+    # A positive range does not imply a positive float64 variance: for
+    # [0.0, 8.04e-274] the exact variance is below the smallest subnormal,
+    # so its correctly rounded value is 0.0. Zero variance is therefore
+    # checked against the exact variance rounded to float.
+    if opinion_range(opinions) == 0.0:
+        assert variance(opinions) == 0.0
         assert consensus_index(opinions) == 1.0
+    if variance(opinions) == 0.0:
+        assert float(exact_variance(opinions)) == 0.0
 
 
 @given(a=opinions_arrays)

@@ -128,6 +128,8 @@ def test_rewire_input_validation():
     with pytest.raises(ValueError):
         rewire(empty_network(3), [0.1, 0.2, 1.4], params, np.random.default_rng(0))
     with pytest.raises(ValueError):
+        rewire(empty_network(3), [0.1, np.nan, 0.2], params, np.random.default_rng(0))
+    with pytest.raises(ValueError):
         RewiringParams(delta_add=1.2, delta_cut=0.4, p_add=0.5, p_cut=0.5)
 
 
