@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import SimulationConfig
 from .dynamics import TrajectoryRecord
 from .linguistic import LinguisticTermSet, nearest_terms
 from .metrics import delta_max
@@ -97,9 +98,9 @@ def hk_run(
     initial_values,
     bounds,
     term_set: LinguisticTermSet,
-    t_max: int = 10,
-    tol: float = 1e-3,
-    d_max: float = 0.5,
+    t_max: int = SimulationConfig.t_max,
+    tol: float = SimulationConfig.epsilon,
+    d_max: float = SimulationConfig.d_max,
 ) -> TrajectoryRecord:
     """Iterate the HK model with per-step linguistic mapback.
 
@@ -131,9 +132,9 @@ def degroot_run(
     initial_values,
     mode: str,
     term_set: LinguisticTermSet,
-    t_max: int = 10,
-    tol: float = 1e-3,
-    d_max: float = 0.5,
+    t_max: int = SimulationConfig.t_max,
+    tol: float = SimulationConfig.epsilon,
+    d_max: float = SimulationConfig.d_max,
     freeze_weights: bool = False,
 ) -> TrajectoryRecord:
     """Iterate the DeGroot model with purely numeric opinions.

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, dynamics
-from .config import MODELS, ConfigError, SimulationConfig, load_config
+from .config import MODELS, ConfigError, SimulationConfig, check_setting, load_config
 from .dynamics import TrajectoryRecord
 from .metrics import (
     cluster_count,
@@ -26,10 +26,19 @@ from .metrics import (
     opinion_range,
     variance,
 )
-from .outputs import METRICS_FILE, fmt_float, summarize, write_manifest, write_trajectory
+from .outputs import (
+    METRICS_COLUMNS,
+    METRICS_FILE,
+    fmt_float,
+    write_csv,
+    write_manifest,
+    write_trajectory,
+)
 
 COMPARISON_FILE = "comparison.csv"
 SWEEP_FILE = "sweep.csv"
+# Columns of _summary_row after its label.
+SUMMARY_COLUMNS = ["converged", "iterations", "variance", "range", "c_aad", "cluster_count"]
 
 
 def run_from_config(config: SimulationConfig) -> TrajectoryRecord:
@@ -74,28 +83,20 @@ def parse_model_spec(spec: str, config: SimulationConfig) -> SimulationConfig:
             eps = float(param)
         except ValueError as exc:
             raise ConfigError("models", f"bad epsilon in {spec!r}") from exc
-        if not 0.0 <= eps <= 1.0:
-            raise ConfigError("models", f"epsilon in {spec!r} must lie in [0, 1]")
         return replace(config, model=name, hk_epsilon=eps)
-    derived = replace(config, model=name)
-    if name == "hk-homogeneous" and derived.hk_epsilon is None:
-        raise ConfigError("hk.epsilon", "required for model 'hk-homogeneous'")
-    if name == "hk-heterogeneous" and derived.hk_epsilons is None:
-        raise ConfigError("hk.epsilons", "required for model 'hk-heterogeneous'")
-    return derived
+    return replace(config, model=name)
 
 
 def cmd_run(config: SimulationConfig, outdir: Path) -> Path:
     record = run_from_config(config)
     outputs = write_trajectory(record, outdir, _cluster_tolerance(config))
     manifest = write_manifest(outdir, "run", config.to_dict(), config.seed, outputs)
-    summary = summarize(record, _cluster_tolerance(config))
-    print(f"run: model={config.model} converged={summary['converged']} "
-          f"iterations={summary['iterations']} -> {outdir}")
+    print(f"run: model={config.model} converged={record.converged} "
+          f"iterations={record.iterations} -> {outdir}")
     return manifest
 
 
-def _summary_row(label: str, record: TrajectoryRecord, tolerance: float) -> list:
+def _summary_row(label: str | int, record: TrajectoryRecord, tolerance: float) -> list:
     return [
         label,
         record.converged,
@@ -108,14 +109,14 @@ def _summary_row(label: str, record: TrajectoryRecord, tolerance: float) -> list
 
 
 def cmd_compare(config: SimulationConfig, model_specs: list[str], outdir: Path) -> Path:
+    derived_configs = [parse_model_spec(spec, config) for spec in model_specs]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     tolerance = _cluster_tolerance(config)
     rows = []
     outputs: dict[str, object] = {}
     used_names: set[str] = set()
-    for spec in model_specs:
-        derived = parse_model_spec(spec, config)
+    for spec, derived in zip(model_specs, derived_configs):
         dirname = spec.replace(":", "_")
         while dirname in used_names:
             dirname += "_again"
@@ -125,11 +126,7 @@ def cmd_compare(config: SimulationConfig, model_specs: list[str], outdir: Path) 
         outputs[dirname] = model_outputs
         rows.append(_summary_row(spec, record, tolerance))
         print(f"compare: {spec} converged={record.converged} iterations={record.iterations}")
-    with open(outdir / COMPARISON_FILE, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "converged", "iterations", "variance", "range",
-                         "c_aad", "cluster_count"])
-        writer.writerows(rows)
+    write_csv(outdir / COMPARISON_FILE, ["model", *SUMMARY_COLUMNS], rows)
     outputs["comparison"] = COMPARISON_FILE
     return write_manifest(outdir, "compare", config.to_dict(),
                           config.seed, outputs)
@@ -159,35 +156,24 @@ def cmd_sweep(config: SimulationConfig, seeds: list[int], outdir: Path) -> Path:
     rows = []
     for seed in seeds:
         try:
-            record = run_from_config(replace(config, seed=seed))
-            rows.append([
-                seed,
-                record.converged,
-                record.iterations,
-                fmt_float(record.variance[-1]),
-                fmt_float(record.opinion_range[-1]),
-                fmt_float(record.consensus[-1]),
-                cluster_count(record.final_values, tolerance),
-                "",
-            ])
+            record = run_from_config(config.with_seed(seed))
+            rows.append(_summary_row(seed, record, tolerance) + [""])
         except Exception as exc:  # keep sweeping; the row records the failure
-            rows.append([seed, "", "", "", "", "", "", str(exc)])
-    with open(outdir / SWEEP_FILE, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "converged", "iterations", "variance", "range",
-                         "c_aad", "cluster_count", "error"])
-        writer.writerows(rows)
+            rows.append([seed] + [""] * len(SUMMARY_COLUMNS) + [str(exc)])
+    write_csv(outdir / SWEEP_FILE, ["seed", *SUMMARY_COLUMNS, "error"], rows)
     print(f"sweep: {len(seeds)} seeds -> {outdir / SWEEP_FILE}")
     return write_manifest(outdir, "sweep", config.to_dict(),
                           f"{seeds[0]}..{seeds[-1]}", {"sweep": SWEEP_FILE})
 
 
-def cmd_metrics(opinions_csv: Path, outdir: Path, d_max: float = 0.5) -> Path:
+def cmd_metrics(opinions_csv: Path, outdir: Path,
+                d_max: float = SimulationConfig.d_max) -> Path:
     """Recompute per-iteration metrics from an opinions CSV.
 
     Network stats are unknowable from opinions alone, so the avg_degree and
     isolated columns are left empty.
     """
+    d_max = check_setting("d_max", d_max)
     per_iteration: dict[int, dict[int, float]] = {}
     try:
         with open(opinions_csv, newline="") as fh:
@@ -221,11 +207,7 @@ def cmd_metrics(opinions_csv: Path, outdir: Path, d_max: float = 0.5) -> Path:
             dm,
         ))
         previous = values
-    with open(outdir / METRICS_FILE, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "variance", "range", "c_aad", "avg_degree",
-                         "isolated", "delta_max"])
-        writer.writerows(rows)
+    write_csv(outdir / METRICS_FILE, METRICS_COLUMNS, rows)
     print(f"metrics: {len(rows)} iterations -> {outdir / METRICS_FILE}")
     return outdir / METRICS_FILE
 
@@ -258,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     met_p = sub.add_parser("metrics", help="recompute metrics from an opinions CSV")
     met_p.add_argument("opinions_csv", help="opinions.csv produced by a run")
     met_p.add_argument("--out", required=True)
-    met_p.add_argument("--d-max", type=float, default=0.5,
-                       help="consensus-index normalizer (default 0.5)")
+    met_p.add_argument("--d-max", type=float, default=SimulationConfig.d_max,
+                       help="consensus-index normalizer (default %(default)s)")
 
     return parser
 
@@ -272,9 +254,7 @@ def main(argv=None) -> int:
             return 0
         config = load_config(args.config)
         if getattr(args, "seed", None) is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {args.seed}")
-            config = replace(config, seed=args.seed)
+            config = config.with_seed(args.seed)
         if args.command == "run":
             cmd_run(config, Path(args.out))
         elif args.command == "compare":

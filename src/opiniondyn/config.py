@@ -1,14 +1,17 @@
 """Run configuration: JSON schema, defaults, validation, and echo.
 
-One config file fully determines a run. Defaults follow the worked 20-agent
-scenario: phi=3, base=2, alpha=0.3, beta=0.6, lambda=10, inertia=0,
-delta_add=0.15, delta_cut=0.45, p_add=p_cut=0.5, t_max=10, epsilon=1e-3.
+One config file fully determines a run. The fields of ``SimulationConfig``
+(and of ``InitialNetworkSpec``) are the schema: each field is one row giving
+its JSON path, type, default and bound. Parsing, the unknown-key check, the
+echo and validation all read these rows, so a config is checked the same way
+whether it comes from JSON, a constructor call or ``dataclasses.replace``.
+Defaults follow the worked 20-agent scenario.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +28,16 @@ MODELS = (
     "hk-heterogeneous",
 )
 
-# Fallback edge probability when a config gives no initial network: matches
-# the reference scenario's measured initial average degree of about 1.9 on
-# 20 agents (1.9 / 19 = 0.1).
-DEFAULT_EDGE_PROB = 0.1
+# Bounds: (the rule in words, a test of the normalised value).
+_AT_LEAST_ONE = ("must be >= 1", lambda v: v >= 1)
+_POSITIVE = ("must be > 0", lambda v: v > 0.0)
+_NON_NEGATIVE = ("must be >= 0", lambda v: v >= 0.0)
+_UNIT = ("must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_UINT64 = ("must be a 64-bit unsigned integer", lambda v: 0 <= v < 2**64)
+_MODEL = (f"must be one of {', '.join(MODELS)}", lambda v: v in MODELS)
+
+# JSON keys of component fields that differ from the attribute name.
+_JSON_KEYS = {"decay": "lambda"}
 
 
 class ConfigError(ValueError):
@@ -40,6 +49,55 @@ class ConfigError(ValueError):
         super().__init__(f"config error at '{path}': {reason}")
 
 
+def _require(cond: bool, path: str, reason: str):
+    if not cond:
+        raise ConfigError(path, reason)
+
+
+def _setting(path: str, default=MISSING, kind: type | None = None, bound=None):
+    """One schema row. ``kind`` defaults to the default's type; ``tuple``
+    marks a sequence whose owner checks its shape element by element."""
+    kind = kind or type(default)
+    return field(default=default, metadata={"path": path, "kind": kind, "bound": bound})
+
+
+def _check(path: str, kind: type, bound, value):
+    """``value`` normalised to ``kind`` (a number to int or float) and
+    checked against ``bound``; raises ConfigError(path, ...)."""
+    # Messages are formatted only on failure: a sweep checks one seed per run.
+    if kind is int or kind is float:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(path, f"expected a number, got {type(value).__name__}")
+        if kind is int and not (isinstance(value, int) or value.is_integer()):
+            raise ConfigError(path, f"expected an integer, got {value!r}")
+        value = kind(value)
+    elif not isinstance(value, kind):
+        raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
+    if bound is not None and not bound[1](value):
+        raise ConfigError(path, f"{bound[0]}, got {value!r}")
+    return value
+
+
+def _check_row(row, value):
+    return _check(row.metadata["path"], row.metadata["kind"], row.metadata["bound"], value)
+
+
+def _normalise(obj) -> None:
+    """Check every set, non-sequence field of ``obj`` and store it normalised."""
+    for row in fields(obj):
+        value = getattr(obj, row.name)
+        if row.metadata["kind"] is tuple or (value is None and row.default is None):
+            continue
+        object.__setattr__(obj, row.name, _check_row(row, value))
+
+
+def _per_agent(path: str, values, n_agents: int):
+    _require(isinstance(values, (list, tuple)), path, "expected a list")
+    _require(len(values) == n_agents, path,
+             f"length {len(values)} does not match n_agents = {n_agents}")
+    return values
+
+
 @dataclass(frozen=True)
 class InitialNetworkSpec:
     """Either an explicit edge list or random-generation parameters.
@@ -48,36 +106,97 @@ class InitialNetworkSpec:
     run generator before the first step.
     """
 
-    edges: tuple[tuple[int, int], ...] | None = None
-    edge_prob: float | None = None
-    seed: int | None = None
+    edges: tuple[tuple[int, int], ...] | None = _setting("initial_network.edges", None, tuple)
+    edge_prob: float | None = _setting("initial_network.edge_prob", None, float, _UNIT)
+    seed: int | None = _setting("initial_network.seed", None, int, _UINT64)
+
+    def __post_init__(self):
+        _require((self.edges is None) != (self.edge_prob is None), "initial_network",
+                 "give exactly one of 'edges' or 'edge_prob'")
+        _normalise(self)
+        if self.edges is None:
+            return
+        _require(isinstance(self.edges, (list, tuple)), "initial_network.edges",
+                 "expected a list of pairs")
+        for k, e in enumerate(self.edges):
+            path = f"initial_network.edges[{k}]"
+            _require(isinstance(e, (list, tuple)) and len(e) == 2, path,
+                     f"expected a pair [i, j], got {e!r}")
+            _require(all(isinstance(i, int) and not isinstance(i, bool) for i in e),
+                     path, "indices must be integers")
+            _require(e[0] != e[1], path, "self-loops are not allowed")
+        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    n_agents: int
-    initial_opinions: tuple[int, ...]
-    phi: int = 3
-    base: float = 2.0
-    thresholds: ThreeWayThresholds = field(
-        default_factory=lambda: ThreeWayThresholds(alpha=0.3, beta=0.6, decay=10.0)
-    )
-    inertia: float = 0.0
-    rewiring: RewiringParams = field(
-        default_factory=lambda: RewiringParams(delta_add=0.15, delta_cut=0.45, p_add=0.5, p_cut=0.5)
-    )
-    t_max: int = 10
-    epsilon: float = 1e-3
-    seed: int = 0
-    initial_network: InitialNetworkSpec = field(
-        default_factory=lambda: InitialNetworkSpec(edge_prob=DEFAULT_EDGE_PROB)
-    )
-    model: str = "threeway"
-    d_max: float = 0.5
-    cluster_tolerance: float | None = None
-    hk_epsilon: float | None = None
-    hk_epsilons: tuple[float, ...] | None = None
-    degroot_freeze_weights: bool = False
+    """A validated run configuration; each field is one row of the schema.
+
+    Construction checks every field and normalises numbers (an int given
+    for a float field becomes a float) and sequences (to tuples), raising
+    ConfigError with the field's JSON path.
+    """
+
+    n_agents: int = _setting("n_agents", kind=int, bound=_AT_LEAST_ONE)
+    initial_opinions: tuple[int, ...] = _setting("initial_opinions", kind=tuple)
+    phi: int = _setting("term_set.phi", 3)
+    base: float = _setting("term_set.base", 2.0)
+    thresholds: ThreeWayThresholds = _setting(
+        "thresholds", ThreeWayThresholds(alpha=0.3, beta=0.6, decay=10.0))
+    inertia: float = _setting("inertia", 0.0, bound=_UNIT)
+    rewiring: RewiringParams = _setting(
+        "rewiring", RewiringParams(delta_add=0.15, delta_cut=0.45, p_add=0.5, p_cut=0.5))
+    t_max: int = _setting("t_max", 10, bound=_AT_LEAST_ONE)
+    epsilon: float = _setting("epsilon", 1e-3, bound=_POSITIVE)
+    seed: int = _setting("seed", 0, bound=_UINT64)
+    # The fallback edge probability matches the reference scenario's measured
+    # initial average degree of about 1.9 on 20 agents (1.9 / 19 = 0.1).
+    initial_network: InitialNetworkSpec = _setting(
+        "initial_network", InitialNetworkSpec(edge_prob=0.1))
+    model: str = _setting("model", "threeway", bound=_MODEL)
+    d_max: float = _setting("d_max", 0.5, bound=_POSITIVE)
+    cluster_tolerance: float | None = _setting("cluster_tolerance", None, float, _NON_NEGATIVE)
+    hk_epsilon: float | None = _setting("hk.epsilon", None, float, _UNIT)
+    hk_epsilons: tuple[float, ...] | None = _setting("hk.epsilons", None, tuple)
+    degroot_freeze_weights: bool = _setting("degroot.freeze_weights", False)
+
+    def __post_init__(self):
+        _normalise(self)
+        try:
+            build_term_set(self.phi, self.base)
+        except ValueError as exc:
+            raise ConfigError("term_set", str(exc)) from exc
+
+        opinions = _per_agent("initial_opinions", self.initial_opinions, self.n_agents)
+        top = 2 * self.phi
+        for k, v in enumerate(opinions):
+            _require(isinstance(v, int) and not isinstance(v, bool),
+                     f"initial_opinions[{k}]", f"expected an integer term index, got {v!r}")
+            _require(0 <= v <= top, f"initial_opinions[{k}]", f"term index {v} outside [0, {top}]")
+        object.__setattr__(self, "initial_opinions", tuple(opinions))
+
+        for k, (i, j) in enumerate(self.initial_network.edges or ()):
+            _require(0 <= i < self.n_agents and 0 <= j < self.n_agents,
+                     f"initial_network.edges[{k}]",
+                     f"indices out of range for {self.n_agents} agents")
+
+        if self.hk_epsilons is not None:
+            bounds = _per_agent("hk.epsilons", self.hk_epsilons, self.n_agents)
+            object.__setattr__(self, "hk_epsilons", tuple(
+                _check(f"hk.epsilons[{k}]", float, _UNIT, v) for k, v in enumerate(bounds)))
+        if self.model == "hk-homogeneous":
+            _require(self.hk_epsilon is not None, "hk.epsilon",
+                     "required for model 'hk-homogeneous'")
+        if self.model == "hk-heterogeneous":
+            _require(self.hk_epsilons is not None, "hk.epsilons",
+                     "required for model 'hk-heterogeneous'")
+
+    def with_seed(self, seed: int) -> SimulationConfig:
+        """This config with another seed. Only the seed is checked: no other
+        field depends on it, and a sweep makes one such copy per seed."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, seed=check_setting("seed", seed))
+        return clone
 
     def term_set(self) -> LinguisticTermSet:
         return build_term_set(self.phi, self.base)
@@ -95,86 +214,65 @@ class SimulationConfig:
 
     def hk_bounds(self) -> np.ndarray:
         if self.model == "hk-homogeneous":
-            return np.full(self.n_agents, float(self.hk_epsilon))
+            return np.full(self.n_agents, self.hk_epsilon)
         return np.asarray(self.hk_epsilons, dtype=float)
 
     def to_dict(self) -> dict:
-        """Fully resolved echo; re-loading it reproduces the run exactly."""
-        net: dict = {}
-        if self.initial_network.edges is not None:
-            net["edges"] = [list(e) for e in self.initial_network.edges]
-        else:
-            net["edge_prob"] = self.initial_network.edge_prob
-            if self.initial_network.seed is not None:
-                net["seed"] = self.initial_network.seed
-        out = {
-            "n_agents": self.n_agents,
-            "initial_opinions": list(self.initial_opinions),
-            "term_set": {"phi": self.phi, "base": self.base},
-            "thresholds": {
-                "alpha": self.thresholds.alpha,
-                "beta": self.thresholds.beta,
-                "lambda": self.thresholds.decay,
-            },
-            "inertia": self.inertia,
-            "rewiring": {
-                "delta_add": self.rewiring.delta_add,
-                "delta_cut": self.rewiring.delta_cut,
-                "p_add": self.rewiring.p_add,
-                "p_cut": self.rewiring.p_cut,
-            },
-            "t_max": self.t_max,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "initial_network": net,
-            "model": self.model,
-            "d_max": self.d_max,
-        }
-        if self.cluster_tolerance is not None:
-            out["cluster_tolerance"] = self.cluster_tolerance
-        hk = {}
-        if self.hk_epsilon is not None:
-            hk["epsilon"] = self.hk_epsilon
-        if self.hk_epsilons is not None:
-            hk["epsilons"] = list(self.hk_epsilons)
-        if hk:
-            out["hk"] = hk
-        if self.degroot_freeze_weights:
-            out["degroot"] = {"freeze_weights": True}
+        """Fully resolved echo; re-loading it reproduces the run exactly.
+
+        Unset options (None) and off flags (False) are left out.
+        """
+        out: dict = {}
+        for row in fields(self):
+            value = getattr(self, row.name)
+            if value is None or value is False:
+                continue
+            group, _, key = row.metadata["path"].rpartition(".")
+            (out.setdefault(group, {}) if group else out)[key] = _echo(value)
         return out
 
 
+def _echo(value):
+    """JSON form of a field value: tuples as lists, components as objects."""
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    if is_dataclass(value):
+        return {_JSON_KEYS.get(c.name, c.name): _echo(getattr(value, c.name))
+                for c in fields(value) if getattr(value, c.name) is not None}
+    return value
+
+
+def check_setting(name: str, value):
+    """``value`` checked and normalised as the SimulationConfig field ``name``."""
+    return _check_row(SimulationConfig.__dataclass_fields__[name], value)
+
+
 # ---------------------------------------------------------------------------
-# Parsing and validation
+# Parsing
 # ---------------------------------------------------------------------------
 
-_TOP_LEVEL_KEYS = {
-    "n_agents", "initial_opinions", "term_set", "thresholds", "inertia",
-    "rewiring", "t_max", "epsilon", "seed", "initial_network", "model",
-    "d_max", "cluster_tolerance", "hk", "degroot",
-}
+_TOP_LEVEL_KEYS = {row.metadata["path"].partition(".")[0] for row in fields(SimulationConfig)}
 
 
-def _require(cond: bool, path: str, reason: str):
-    if not cond:
-        raise ConfigError(path, reason)
-
-
-def _get_number(d: dict, key: str, path: str, default=None):
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "required field is missing")
-        return default
-    v = d[key]
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-             f"{path}.{key}", f"expected a number, got {type(v).__name__}")
-    return v
-
-
-def _get_int(d: dict, key: str, path: str, default=None):
-    v = _get_number(d, key, path, default)
-    _require(float(v).is_integer(), f"{path}.{key}", f"expected an integer, got {v!r}")
-    return int(v)
+def _from_json(row, value):
+    """The field value for a JSON value; JSON objects become components."""
+    kind = row.metadata["kind"]
+    if not is_dataclass(kind):
+        return value
+    path = row.metadata["path"]
+    _require(isinstance(value, dict), path, "expected an object")
+    if kind is InitialNetworkSpec:
+        return kind(**{c.name: value[c.name] for c in fields(kind) if c.name in value})
+    # A component object may set some keys; the rest keep the default's values.
+    changes = {}
+    for c in fields(kind):
+        key = _JSON_KEYS.get(c.name, c.name)
+        if key in value:
+            changes[c.name] = _check(f"{path}.{key}", float, None, value[key])
+    try:
+        return replace(row.default, **changes)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def config_from_dict(raw: dict) -> SimulationConfig:
@@ -182,158 +280,18 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     _require(isinstance(raw, dict), "<root>", "config must be a JSON object")
     for key in raw:
         _require(key in _TOP_LEVEL_KEYS, key, "unknown field")
-
-    n_agents = _get_int(raw, "n_agents", "<root>")
-    _require(n_agents >= 1, "n_agents", f"must be >= 1, got {n_agents}")
-
-    ts_raw = raw.get("term_set", {})
-    _require(isinstance(ts_raw, dict), "term_set", "expected an object")
-    phi = _get_int(ts_raw, "phi", "term_set", default=3)
-    base = float(_get_number(ts_raw, "base", "term_set", default=2.0))
-    try:
-        term_set = build_term_set(phi, base)
-    except ValueError as exc:
-        raise ConfigError("term_set", str(exc)) from exc
-
-    _require("initial_opinions" in raw, "initial_opinions", "required field is missing")
-    opinions_raw = raw["initial_opinions"]
-    _require(isinstance(opinions_raw, list), "initial_opinions", "expected a list of term indices")
-    _require(
-        len(opinions_raw) == n_agents,
-        "initial_opinions",
-        f"length {len(opinions_raw)} does not match n_agents = {n_agents}",
-    )
-    opinions = []
-    for k, v in enumerate(opinions_raw):
-        _require(isinstance(v, int) and not isinstance(v, bool),
-                 f"initial_opinions[{k}]", f"expected an integer term index, got {v!r}")
-        _require(0 <= v <= 2 * phi,
-                 f"initial_opinions[{k}]", f"term index {v} outside [0, {2 * phi}]")
-        opinions.append(v)
-
-    th_raw = raw.get("thresholds", {})
-    _require(isinstance(th_raw, dict), "thresholds", "expected an object")
-    try:
-        thresholds = ThreeWayThresholds(
-            alpha=float(_get_number(th_raw, "alpha", "thresholds", default=0.3)),
-            beta=float(_get_number(th_raw, "beta", "thresholds", default=0.6)),
-            decay=float(_get_number(th_raw, "lambda", "thresholds", default=10.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError("thresholds", str(exc)) from exc
-
-    inertia = float(_get_number(raw, "inertia", "<root>", default=0.0))
-    _require(0.0 <= inertia <= 1.0, "inertia", f"must lie in [0, 1], got {inertia}")
-
-    rw_raw = raw.get("rewiring", {})
-    _require(isinstance(rw_raw, dict), "rewiring", "expected an object")
-    try:
-        rewiring = RewiringParams(
-            delta_add=float(_get_number(rw_raw, "delta_add", "rewiring", default=0.15)),
-            delta_cut=float(_get_number(rw_raw, "delta_cut", "rewiring", default=0.45)),
-            p_add=float(_get_number(rw_raw, "p_add", "rewiring", default=0.5)),
-            p_cut=float(_get_number(rw_raw, "p_cut", "rewiring", default=0.5)),
-        )
-    except ValueError as exc:
-        raise ConfigError("rewiring", str(exc)) from exc
-
-    t_max = _get_int(raw, "t_max", "<root>", default=10)
-    _require(t_max >= 1, "t_max", f"must be >= 1, got {t_max}")
-    epsilon = float(_get_number(raw, "epsilon", "<root>", default=1e-3))
-    _require(epsilon > 0.0, "epsilon", f"must be > 0, got {epsilon}")
-    seed = _get_int(raw, "seed", "<root>", default=0)
-    _require(0 <= seed < 2**64, "seed", f"must be a 64-bit unsigned integer, got {seed}")
-
-    net_raw = raw.get("initial_network", {"edge_prob": DEFAULT_EDGE_PROB})
-    _require(isinstance(net_raw, dict), "initial_network", "expected an object")
-    has_edges = "edges" in net_raw
-    has_prob = "edge_prob" in net_raw
-    _require(has_edges != has_prob, "initial_network",
-             "give exactly one of 'edges' or 'edge_prob'")
-    if has_edges:
-        edges_raw = net_raw["edges"]
-        _require(isinstance(edges_raw, list), "initial_network.edges", "expected a list of pairs")
-        edges = []
-        for k, e in enumerate(edges_raw):
-            _require(isinstance(e, list) and len(e) == 2,
-                     f"initial_network.edges[{k}]", f"expected a pair [i, j], got {e!r}")
-            i, j = e
-            _require(isinstance(i, int) and isinstance(j, int),
-                     f"initial_network.edges[{k}]", "indices must be integers")
-            _require(0 <= i < n_agents and 0 <= j < n_agents,
-                     f"initial_network.edges[{k}]", f"indices out of range for {n_agents} agents")
-            _require(i != j, f"initial_network.edges[{k}]", "self-loops are not allowed")
-            edges.append((i, j))
-        net_spec = InitialNetworkSpec(edges=tuple(edges))
-    else:
-        edge_prob = float(_get_number(net_raw, "edge_prob", "initial_network"))
-        _require(0.0 <= edge_prob <= 1.0, "initial_network.edge_prob",
-                 f"must lie in [0, 1], got {edge_prob}")
-        net_seed = None
-        if "seed" in net_raw:
-            net_seed = _get_int(net_raw, "seed", "initial_network")
-            _require(0 <= net_seed < 2**64, "initial_network.seed",
-                     f"must be a 64-bit unsigned integer, got {net_seed}")
-        net_spec = InitialNetworkSpec(edge_prob=edge_prob, seed=net_seed)
-
-    model = raw.get("model", "threeway")
-    _require(model in MODELS, "model", f"unknown model {model!r}; expected one of {', '.join(MODELS)}")
-
-    d_max = float(_get_number(raw, "d_max", "<root>", default=0.5))
-    _require(d_max > 0.0, "d_max", f"must be > 0, got {d_max}")
-    cluster_tolerance = None
-    if "cluster_tolerance" in raw:
-        cluster_tolerance = float(_get_number(raw, "cluster_tolerance", "<root>"))
-        _require(cluster_tolerance >= 0.0, "cluster_tolerance",
-                 f"must be >= 0, got {cluster_tolerance}")
-
-    hk_raw = raw.get("hk", {})
-    _require(isinstance(hk_raw, dict), "hk", "expected an object")
-    hk_epsilon = None
-    hk_epsilons = None
-    if "epsilon" in hk_raw:
-        hk_epsilon = float(_get_number(hk_raw, "epsilon", "hk"))
-        _require(0.0 <= hk_epsilon <= 1.0, "hk.epsilon", f"must lie in [0, 1], got {hk_epsilon}")
-    if "epsilons" in hk_raw:
-        eps_raw = hk_raw["epsilons"]
-        _require(isinstance(eps_raw, list), "hk.epsilons", "expected a list")
-        _require(len(eps_raw) == n_agents, "hk.epsilons",
-                 f"length {len(eps_raw)} does not match n_agents = {n_agents}")
-        for k, v in enumerate(eps_raw):
-            _require(isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v <= 1.0,
-                     f"hk.epsilons[{k}]", f"must be a number in [0, 1], got {v!r}")
-        hk_epsilons = tuple(float(v) for v in eps_raw)
-    if model == "hk-homogeneous":
-        _require(hk_epsilon is not None, "hk.epsilon",
-                 "required for model 'hk-homogeneous'")
-    if model == "hk-heterogeneous":
-        _require(hk_epsilons is not None, "hk.epsilons",
-                 "required for model 'hk-heterogeneous'")
-
-    dg_raw = raw.get("degroot", {})
-    _require(isinstance(dg_raw, dict), "degroot", "expected an object")
-    freeze = dg_raw.get("freeze_weights", False)
-    _require(isinstance(freeze, bool), "degroot.freeze_weights", "expected a boolean")
-
-    return SimulationConfig(
-        n_agents=n_agents,
-        initial_opinions=tuple(opinions),
-        phi=phi,
-        base=base,
-        thresholds=thresholds,
-        inertia=inertia,
-        rewiring=rewiring,
-        t_max=t_max,
-        epsilon=epsilon,
-        seed=seed,
-        initial_network=net_spec,
-        model=model,
-        d_max=d_max,
-        cluster_tolerance=cluster_tolerance,
-        hk_epsilon=hk_epsilon,
-        hk_epsilons=hk_epsilons,
-        degroot_freeze_weights=freeze,
-    )
+    given = {}
+    for row in fields(SimulationConfig):
+        group, _, key = row.metadata["path"].rpartition(".")
+        source = raw
+        if group:
+            source = raw.get(group, {})
+            _require(isinstance(source, dict), group, "expected an object")
+        if key in source:
+            given[row.name] = _from_json(row, source[key])
+        else:
+            _require(row.default is not MISSING, row.metadata["path"], "required field is missing")
+    return SimulationConfig(**given)
 
 
 def load_config(path) -> SimulationConfig:

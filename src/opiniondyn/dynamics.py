@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics as metrics_mod
-from .config import SimulationConfig, config_from_dict
+from .config import SimulationConfig
 from .linguistic import LinguisticTermSet, nearest_terms
 from .network import RewiringParams, SocialNetwork, rewire, row_blocks, stats
 from .threeway import ThreeWayThresholds
@@ -73,7 +73,7 @@ class TrajectoryRecord:
 
     @classmethod
     def from_states(cls, values_hist, terms_hist, networks, converged: bool,
-                    d_max: float = 0.5) -> "TrajectoryRecord":
+                    d_max: float = SimulationConfig.d_max) -> "TrajectoryRecord":
         values = np.asarray(values_hist, dtype=float)
         terms = np.asarray(terms_hist, dtype=int)
         n_iter = values.shape[0]
@@ -222,7 +222,6 @@ def run(config: SimulationConfig) -> TrajectoryRecord:
     step's delta_max falls below config.epsilon. Identical configs give
     bit-identical records.
     """
-    config_from_dict(config.to_dict())  # reject invalid configs before any computation
     term_set = config.term_set()
     rng = np.random.default_rng(config.seed)
     net = config.build_initial_network(rng)

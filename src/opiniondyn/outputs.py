@@ -23,13 +23,14 @@ TERMS_FILE = "terms.csv"
 METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
 MANIFEST_FILE = "manifest.json"
+METRICS_COLUMNS = ["iteration", "variance", "range", "c_aad", "avg_degree", "isolated", "delta_max"]
 
 
 def fmt_float(v: float) -> str:
     return repr(float(v))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], rows) -> None:
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -73,9 +74,9 @@ def write_trajectory(record: TrajectoryRecord, outdir: Path,
                 (k, agent, fmt_float(record.values[k, agent]), int(record.terms[k, agent]))
             )
             term_rows.append((k, agent, int(record.terms[k, agent])))
-    _write_csv(outdir / OPINIONS_FILE, ["iteration", "agent", "value", "term_index"],
+    write_csv(outdir / OPINIONS_FILE, ["iteration", "agent", "value", "term_index"],
                opinion_rows)
-    _write_csv(outdir / TERMS_FILE, ["iteration", "agent", "term_index"], term_rows)
+    write_csv(outdir / TERMS_FILE, ["iteration", "agent", "term_index"], term_rows)
 
     metric_rows = []
     for k in range(record.iterations + 1):
@@ -89,9 +90,7 @@ def write_trajectory(record: TrajectoryRecord, outdir: Path,
             int(record.isolated[k]),
             "" if math.isnan(dm) else fmt_float(dm),
         ))
-    _write_csv(outdir / METRICS_FILE,
-               ["iteration", "variance", "range", "c_aad", "avg_degree", "isolated", "delta_max"],
-               metric_rows)
+    write_csv(outdir / METRICS_FILE, METRICS_COLUMNS, metric_rows)
 
     network_files = []
     for k, net in enumerate(record.networks):

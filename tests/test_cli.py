@@ -232,3 +232,35 @@ def test_parse_seed_range():
         cli.parse_seed_range("6..3")
     with pytest.raises(Exception):
         cli.parse_seed_range("a..b")
+
+
+def test_metrics_rejects_nonpositive_d_max(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    run_out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(run_out)]) == 0
+    code = cli.main(["metrics", str(run_out / "opinions.csv"), "--out", str(tmp_path / "met"),
+                     "--d-max", "0"])
+    assert code == 1
+    assert "d_max" in capsys.readouterr().err
+    assert not (tmp_path / "met").exists()
+
+
+def test_compare_rejects_bad_spec_before_any_run(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "cmp"
+    code = cli.main(["compare", "--config", str(cfg), "--out", str(out),
+                     "--models", "threeway,voter"])
+    assert code == 1
+    assert not (out / "threeway").exists()
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["run", "--seed", "-1"], "seed"),
+    (["compare", "--models", "hk-homogeneous:1.5"], "hk.epsilon"),
+    (["compare", "--models", "hk-heterogeneous"], "hk.epsilons"),
+])
+def test_cli_overrides_are_validated_like_the_config(tmp_path, capsys, argv, path):
+    cfg = write_config(tmp_path)
+    code = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert f"config error at '{path}'" in capsys.readouterr().err

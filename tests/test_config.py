@@ -1,8 +1,19 @@
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from opiniondyn import ConfigError, config_from_dict, load_config
+from opiniondyn import (
+    ConfigError,
+    InitialNetworkSpec,
+    RewiringParams,
+    SimulationConfig,
+    ThreeWayThresholds,
+    config_from_dict,
+    load_config,
+)
+from opiniondyn.config import MODELS
 from conftest import REFERENCE_TERMS
 
 
@@ -123,3 +134,86 @@ def test_load_config_reports_file_problems(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(minimal()))
     assert load_config(good).n_agents == 20
+
+
+@pytest.mark.parametrize("build,patch,path", [
+    (lambda: SimulationConfig(n_agents=20, initial_opinions=tuple(REFERENCE_TERMS),
+                              model="hk-homogeneous"),
+     {"model": "hk-homogeneous"}, "hk.epsilon"),
+    (lambda: SimulationConfig(n_agents=3, initial_opinions=(0, 1, 9), model="degroot-uniform"),
+     {"n_agents": 3, "initial_opinions": [0, 1, 9], "model": "degroot-uniform"},
+     "initial_opinions[2]"),
+    (lambda: SimulationConfig(n_agents=20, initial_opinions=tuple(REFERENCE_TERMS),
+                              model="hk-heterogeneous", hk_epsilons=(0.2,) * 19),
+     {"model": "hk-heterogeneous", "hk": {"epsilons": [0.2] * 19}}, "hk.epsilons"),
+    (lambda: replace(config_from_dict(minimal()), seed=-1), {"seed": -1}, "seed"),
+], ids=["hk-homogeneous-without-bound", "term-index-out-of-range", "hk-bounds-wrong-length",
+        "replace-negative-seed"])
+def test_direct_construction_is_validated_like_json(build, patch, path):
+    with pytest.raises(ConfigError) as direct:
+        build()
+    with pytest.raises(ConfigError) as parsed:
+        config_from_dict(minimal() | patch)
+    assert direct.value.path == parsed.value.path == path
+
+
+unit = st.one_of(st.floats(0.0, 1.0), st.integers(0, 1))
+
+
+@st.composite
+def valid_configs(draw):
+    n = draw(st.integers(1, 6))
+    phi = draw(st.integers(1, 4))
+    alpha = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1])
+        network = InitialNetworkSpec(edges=tuple(draw(st.lists(pairs, max_size=8)))
+                                     if n > 1 else ())
+    else:
+        network = InitialNetworkSpec(edge_prob=draw(unit),
+                                     seed=draw(st.none() | st.integers(0, 2**64 - 1)))
+    model = draw(st.sampled_from(MODELS))
+    hk_epsilon = draw(st.none() | unit)
+    hk_epsilons = draw(st.none() | st.lists(unit, min_size=n, max_size=n).map(tuple))
+    if model == "hk-homogeneous" and hk_epsilon is None:
+        hk_epsilon = draw(unit)
+    if model == "hk-heterogeneous" and hk_epsilons is None:
+        hk_epsilons = tuple(draw(st.lists(unit, min_size=n, max_size=n)))
+    return SimulationConfig(
+        n_agents=n,
+        initial_opinions=tuple(draw(st.lists(st.integers(0, 2 * phi), min_size=n, max_size=n))),
+        phi=phi,
+        base=draw(st.one_of(st.floats(1.5, 4.0), st.integers(2, 4))),
+        thresholds=ThreeWayThresholds(alpha=alpha, beta=draw(st.floats(alpha, 1.0)),
+                                      decay=draw(st.floats(0.0, 50.0))),
+        inertia=draw(unit),
+        rewiring=RewiringParams(*(draw(unit) for _ in range(4))),
+        t_max=draw(st.integers(1, 50)),
+        epsilon=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        initial_network=network,
+        model=model,
+        d_max=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        cluster_tolerance=draw(st.none() | st.floats(0.0, 1.0)),
+        hk_epsilon=hk_epsilon,
+        hk_epsilons=hk_epsilons,
+        degroot_freeze_weights=draw(st.booleans()),
+    )
+
+
+@settings(deadline=None)
+@given(cfg=valid_configs())
+def test_echo_round_trips_any_valid_config(cfg):
+    echo = cfg.to_dict()
+    assert config_from_dict(echo) == cfg
+    assert config_from_dict(json.loads(json.dumps(echo))) == cfg
+
+
+def test_with_seed_matches_replace_and_checks_the_seed():
+    cfg = config_from_dict(minimal() | {"hk": {"epsilons": [0.25] * 20}})
+    assert cfg.with_seed(2**64 - 1) == replace(cfg, seed=2**64 - 1)
+    assert cfg.with_seed(5.0).seed == 5 and cfg.seed == 0
+    with pytest.raises(ConfigError) as err:
+        cfg.with_seed(-1)
+    assert err.value.path == "seed"
