@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SimulationConfig
-from .dynamics import TrajectoryRecord
+from .dynamics import StepResult, TrajectoryRecord, iterate
 from .linguistic import LinguisticTermSet, nearest_terms
 from .metrics import delta_max
-from .network import complete_network
+from .network import SocialNetwork, complete_network
 
 ROW_SUM_TOL = 1e-12
 
@@ -85,13 +85,11 @@ def hk_step(opinions, bounds) -> np.ndarray:
     return out
 
 
-def _baseline_record(values_hist, term_set: LinguisticTermSet, converged: bool,
-                     d_max: float) -> TrajectoryRecord:
-    terms_hist = nearest_terms(term_set, values_hist)
-    net = complete_network(len(values_hist[0]))
-    return TrajectoryRecord.from_states(
-        values_hist, terms_hist, [net] * len(values_hist), converged, d_max
-    )
+def _state(values: np.ndarray, previous: StepResult | None, term_set: LinguisticTermSet,
+           net: SocialNetwork) -> StepResult:
+    """A baseline state: the values, their nearest-term view and the shared network."""
+    change = np.nan if previous is None else delta_max(previous.values, values)
+    return StepResult(values, nearest_terms(term_set, values), net, change)
 
 
 def hk_run(
@@ -114,18 +112,13 @@ def hk_run(
         raise ValueError(f"bounds shape {eps.shape} does not match {x.size} opinions")
     if eps.size and (eps.min() < 0.0 or eps.max() > 1.0):
         raise ValueError("confidence bounds must lie in [0, 1]")
-    values_hist = [x]
-    converged = False
-    for _ in range(t_max):
-        averaged = hk_step(x, eps)
-        snapped = term_set.values[nearest_terms(term_set, averaged)]
-        dm = delta_max(x, snapped)
-        x = snapped
-        values_hist.append(x)
-        if dm < tol:
-            converged = True
-            break
-    return _baseline_record(values_hist, term_set, converged, d_max)
+    net = complete_network(x.size)
+
+    def advance(state: StepResult) -> StepResult:
+        snapped = term_set.values[nearest_terms(term_set, hk_step(state.values, eps))]
+        return _state(snapped, state, term_set, net)
+
+    return iterate(_state(x, None, term_set, net), advance, t_max, tol, d_max)
 
 
 def degroot_run(
@@ -144,17 +137,13 @@ def degroot_run(
     indices in the record are nearest-term views of the numeric values.
     """
     x = _as_opinion_vector(initial_values).copy()
-    weights = degroot_weights(x, mode)
-    values_hist = [x]
-    converged = False
-    for _ in range(t_max):
-        if not freeze_weights:
-            weights = degroot_weights(x, mode)
-        new_x = degroot_step(x, weights)
-        dm = delta_max(x, new_x)
-        x = new_x
-        values_hist.append(x)
-        if dm < tol:
-            converged = True
-            break
-    return _baseline_record(values_hist, term_set, converged, d_max)
+    weights = degroot_weights(x, mode)  # rejects an unknown mode before any step
+    net = complete_network(x.size)
+    first = _state(x, None, term_set, net)
+
+    def advance(state: StepResult) -> StepResult:
+        live = not freeze_weights and state is not first
+        step_weights = degroot_weights(state.values, mode) if live else weights
+        return _state(degroot_step(state.values, step_weights), state, term_set, net)
+
+    return iterate(first, advance, t_max, tol, d_max)

@@ -8,30 +8,21 @@ error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import baselines, dynamics
 from .config import MODELS, ConfigError, SimulationConfig, check_setting, load_config
 from .dynamics import TrajectoryRecord
-from .metrics import (
-    cluster_count,
-    consensus_index,
-    default_cluster_tolerance,
-    delta_max,
-    opinion_range,
-    variance,
-)
+from .metrics import cluster_count, default_cluster_tolerance, trajectory_metrics
 from .outputs import (
-    METRICS_COLUMNS,
     METRICS_FILE,
     fmt_float,
+    read_opinions,
     write_csv,
     write_manifest,
+    write_metrics,
     write_trajectory,
 )
 
@@ -133,20 +124,15 @@ def cmd_compare(config: SimulationConfig, model_specs: list[str], outdir: Path) 
 
 
 def parse_seed_range(text: str) -> list[int]:
-    """'start..end' (inclusive) or a single seed."""
-    if ".." in text:
-        start_s, _, end_s = text.partition("..")
-        try:
-            start, end = int(start_s), int(end_s)
-        except ValueError as exc:
-            raise ConfigError("seeds", f"bad seed range {text!r}") from exc
-        if end < start:
-            raise ConfigError("seeds", f"empty seed range {text!r}")
-        return list(range(start, end + 1))
+    """'start..end' (inclusive) or a single seed; both ends must be valid seeds."""
+    start_s, dots, end_s = text.partition("..")
     try:
-        return [int(text)]
+        start, end = int(start_s), int(end_s if dots else start_s)
     except ValueError as exc:
         raise ConfigError("seeds", f"bad seed range {text!r}") from exc
+    if end < start:
+        raise ConfigError("seeds", f"empty seed range {text!r}")
+    return list(range(check_setting("seed", start), check_setting("seed", end) + 1))
 
 
 def cmd_sweep(config: SimulationConfig, seeds: list[int], outdir: Path) -> Path:
@@ -174,41 +160,11 @@ def cmd_metrics(opinions_csv: Path, outdir: Path,
     isolated columns are left empty.
     """
     d_max = check_setting("d_max", d_max)
-    per_iteration: dict[int, dict[int, float]] = {}
-    try:
-        with open(opinions_csv, newline="") as fh:
-            reader = csv.DictReader(fh)
-            required = {"iteration", "agent", "value"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise RuntimeError(
-                    f"{opinions_csv}: expected columns iteration,agent,value[,term_index]")
-            for row in reader:
-                per_iteration.setdefault(int(row["iteration"]), {})[int(row["agent"])] = \
-                    float(row["value"])
-    except OSError as exc:
-        raise RuntimeError(f"cannot read {opinions_csv}: {exc}") from exc
-
-    if not per_iteration:
-        raise RuntimeError(f"{opinions_csv}: no data rows")
+    iterations, states = read_opinions(opinions_csv)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    previous = None
-    for k in sorted(per_iteration):
-        agents = per_iteration[k]
-        values = np.array([agents[a] for a in sorted(agents)])
-        dm = "" if previous is None else fmt_float(delta_max(previous, values))
-        rows.append((
-            k,
-            fmt_float(variance(values)),
-            fmt_float(opinion_range(values)),
-            fmt_float(consensus_index(values, d_max)),
-            "", "",
-            dm,
-        ))
-        previous = values
-    write_csv(outdir / METRICS_FILE, METRICS_COLUMNS, rows)
-    print(f"metrics: {len(rows)} iterations -> {outdir / METRICS_FILE}")
+    write_metrics(outdir / METRICS_FILE, iterations, *trajectory_metrics(states, d_max))
+    print(f"metrics: {len(iterations)} iterations -> {outdir / METRICS_FILE}")
     return outdir / METRICS_FILE
 
 

@@ -251,7 +251,8 @@ def check_setting(name: str, value):
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOP_LEVEL_KEYS = {row.metadata["path"].partition(".")[0] for row in fields(SimulationConfig)}
+_PATHS = {row.metadata["path"] for row in fields(SimulationConfig)}
+_TOP_LEVEL_KEYS = {path.partition(".")[0] for path in _PATHS}
 
 
 def _from_json(row, value):
@@ -261,8 +262,11 @@ def _from_json(row, value):
         return value
     path = row.metadata["path"]
     _require(isinstance(value, dict), path, "expected an object")
+    keys = {_JSON_KEYS.get(c.name, c.name) for c in fields(kind)}
+    for key in value:
+        _require(key in keys, f"{path}.{key}", "unknown field")
     if kind is InitialNetworkSpec:
-        return kind(**{c.name: value[c.name] for c in fields(kind) if c.name in value})
+        return kind(**value)
     # A component object may set some keys; the rest keep the default's values.
     changes = {}
     for c in fields(kind):
@@ -278,8 +282,11 @@ def _from_json(row, value):
 def config_from_dict(raw: dict) -> SimulationConfig:
     """Parse and fully validate a config mapping, applying defaults."""
     _require(isinstance(raw, dict), "<root>", "config must be a JSON object")
-    for key in raw:
+    for key, value in raw.items():
         _require(key in _TOP_LEVEL_KEYS, key, "unknown field")
+        if key not in _PATHS and isinstance(value, dict):  # a group: term_set, hk, degroot
+            for inner in value:
+                _require(f"{key}.{inner}" in _PATHS, f"{key}.{inner}", "unknown field")
     given = {}
     for row in fields(SimulationConfig):
         group, _, key = row.metadata["path"].rpartition(".")

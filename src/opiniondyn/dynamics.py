@@ -12,6 +12,7 @@ ascending), then all rewiring draws (pairs in lexicographic order).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,22 +76,15 @@ class TrajectoryRecord:
     def from_states(cls, values_hist, terms_hist, networks, converged: bool,
                     d_max: float = SimulationConfig.d_max) -> "TrajectoryRecord":
         values = np.asarray(values_hist, dtype=float)
-        terms = np.asarray(terms_hist, dtype=int)
-        n_iter = values.shape[0]
-        var = np.array([metrics_mod.variance(values[k]) for k in range(n_iter)])
-        rng_ = np.array([metrics_mod.opinion_range(values[k]) for k in range(n_iter)])
-        cons = np.array([metrics_mod.consensus_index(values[k], d_max) for k in range(n_iter)])
+        var, rng_, cons, dmax = metrics_mod.trajectory_metrics(values, d_max)
         net_stats = [stats(net) for net in networks]
         avg_deg = np.array([s.average_degree for s in net_stats])
         isolated = np.array([s.isolated_count for s in net_stats], dtype=int)
-        dmax = np.full(n_iter, np.nan)
-        for k in range(1, n_iter):
-            dmax[k] = metrics_mod.delta_max(values[k - 1], values[k])
         return cls(
-            values=values, terms=terms, networks=list(networks),
+            values=values, terms=np.asarray(terms_hist, dtype=int), networks=list(networks),
             variance=var, opinion_range=rng_, consensus=cons,
             avg_degree=avg_deg, isolated=isolated, delta_max=dmax,
-            converged=converged, iterations=n_iter - 1, d_max=d_max,
+            converged=converged, iterations=values.shape[0] - 1, d_max=d_max,
         )
 
 
@@ -215,6 +209,24 @@ def step(
     )
 
 
+def iterate(first: StepResult, advance: Callable[[StepResult], StepResult],
+            t_max: int, tol: float, d_max: float) -> TrajectoryRecord:
+    """Advance from ``first`` until a step's delta_max falls below ``tol``.
+
+    The stopping rule of every model: at most ``t_max`` steps, and the run
+    has converged when the last step moved no agent by ``tol`` or more.
+    """
+    states = [first]
+    converged = False
+    for _ in range(t_max):
+        states.append(advance(states[-1]))
+        if states[-1].delta_max < tol:
+            converged = True
+            break
+    return TrajectoryRecord.from_states([s.values for s in states], [s.terms for s in states],
+                                        [s.network for s in states], converged, d_max)
+
+
 def run(config: SimulationConfig) -> TrajectoryRecord:
     """Run the co-evolution model to convergence or t_max steps.
 
@@ -224,23 +236,12 @@ def run(config: SimulationConfig) -> TrajectoryRecord:
     """
     term_set = config.term_set()
     rng = np.random.default_rng(config.seed)
-    net = config.build_initial_network(rng)
-    values = config.initial_values(term_set)
-    terms = np.asarray(config.initial_opinions, dtype=int)
+    first = StepResult(config.initial_values(term_set),
+                       np.asarray(config.initial_opinions, dtype=int),
+                       config.build_initial_network(rng), math.nan)
 
-    values_hist = [values]
-    terms_hist = [terms]
-    networks = [net]
-    converged = False
-    for _ in range(config.t_max):
-        result = step(values, net, term_set, config.thresholds,
-                      config.inertia, config.rewiring, rng)
-        values, net = result.values, result.network
-        values_hist.append(result.values)
-        terms_hist.append(result.terms)
-        networks.append(net)
-        if result.delta_max < config.epsilon:
-            converged = True
-            break
-    return TrajectoryRecord.from_states(values_hist, terms_hist, networks,
-                                        converged, config.d_max)
+    def advance(state: StepResult) -> StepResult:
+        return step(state.values, state.network, term_set, config.thresholds,
+                    config.inertia, config.rewiring, rng)
+
+    return iterate(first, advance, config.t_max, config.epsilon, config.d_max)

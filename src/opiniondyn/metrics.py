@@ -68,6 +68,17 @@ def delta_max(previous, current) -> float:
     return float(np.max(np.abs(curr - prev)))
 
 
+def trajectory_metrics(states, d_max: float):
+    """Variance, range, consensus index and delta_max, one array entry per
+    state; delta_max compares a state with the one before, NaN for the first."""
+    return (
+        np.array([variance(x) for x in states]),
+        np.array([opinion_range(x) for x in states]),
+        np.array([consensus_index(x, d_max) for x in states]),
+        np.array([np.nan] + [delta_max(a, b) for a, b in zip(states, states[1:])]),
+    )
+
+
 def default_cluster_tolerance(term_set: LinguisticTermSet) -> float:
     """Half the smallest gap between adjacent term values.
 

@@ -13,6 +13,8 @@ import math
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dynamics import TrajectoryRecord
 from .metrics import cluster_count
@@ -23,6 +25,7 @@ TERMS_FILE = "terms.csv"
 METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
 MANIFEST_FILE = "manifest.json"
+OPINIONS_COLUMNS = ["iteration", "agent", "value", "term_index"]
 METRICS_COLUMNS = ["iteration", "variance", "range", "c_aad", "avg_degree", "isolated", "delta_max"]
 
 
@@ -38,6 +41,45 @@ def write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerows(rows)
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
+
+
+def read_opinions(path: Path) -> tuple[list[int], list[np.ndarray]]:
+    """The iteration labels of an opinions CSV, ascending, and each
+    iteration's opinions in agent order. The term_index column is optional."""
+    required = OPINIONS_COLUMNS[:3]
+    per_iteration: dict[int, dict[int, float]] = {}
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
+                raise RuntimeError(f"{path}: expected columns "
+                                   f"{','.join(required)}[,{OPINIONS_COLUMNS[3]}]")
+            for row in reader:
+                per_iteration.setdefault(int(row["iteration"]), {})[int(row["agent"])] = \
+                    float(row["value"])
+    except OSError as exc:
+        raise RuntimeError(f"cannot read {path}: {exc}") from exc
+    if not per_iteration:
+        raise RuntimeError(f"{path}: no data rows")
+    iterations = sorted(per_iteration)
+    return iterations, [np.array([per_iteration[k][a] for a in sorted(per_iteration[k])])
+                        for k in iterations]
+
+
+def write_metrics(path: Path, iterations, variance, opinion_range, consensus, delta_max,
+                  avg_degree=None, isolated=None) -> None:
+    """metrics.csv, one row per iteration; without network stats their
+    columns are left blank. delta_max is blank where it is NaN."""
+    blank = [""] * len(variance)
+    write_csv(path, METRICS_COLUMNS, zip(
+        iterations,
+        map(fmt_float, variance),
+        map(fmt_float, opinion_range),
+        map(fmt_float, consensus),
+        blank if avg_degree is None else map(fmt_float, avg_degree),
+        blank if isolated is None else map(int, isolated),
+        ("" if math.isnan(dm) else fmt_float(dm) for dm in delta_max),
+    ))
 
 
 def summarize(record: TrajectoryRecord, cluster_tolerance: float) -> dict:
@@ -74,23 +116,12 @@ def write_trajectory(record: TrajectoryRecord, outdir: Path,
                 (k, agent, fmt_float(record.values[k, agent]), int(record.terms[k, agent]))
             )
             term_rows.append((k, agent, int(record.terms[k, agent])))
-    write_csv(outdir / OPINIONS_FILE, ["iteration", "agent", "value", "term_index"],
-               opinion_rows)
+    write_csv(outdir / OPINIONS_FILE, OPINIONS_COLUMNS, opinion_rows)
     write_csv(outdir / TERMS_FILE, ["iteration", "agent", "term_index"], term_rows)
 
-    metric_rows = []
-    for k in range(record.iterations + 1):
-        dm = record.delta_max[k]
-        metric_rows.append((
-            k,
-            fmt_float(record.variance[k]),
-            fmt_float(record.opinion_range[k]),
-            fmt_float(record.consensus[k]),
-            fmt_float(record.avg_degree[k]),
-            int(record.isolated[k]),
-            "" if math.isnan(dm) else fmt_float(dm),
-        ))
-    write_csv(outdir / METRICS_FILE, METRICS_COLUMNS, metric_rows)
+    write_metrics(outdir / METRICS_FILE, range(record.iterations + 1), record.variance,
+                  record.opinion_range, record.consensus, record.delta_max,
+                  record.avg_degree, record.isolated)
 
     network_files = []
     for k, net in enumerate(record.networks):

@@ -35,7 +35,7 @@ class ThreeWayThresholds:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
         if self.alpha > self.beta:
             raise ValueError(f"alpha ({self.alpha!r}) must not exceed beta ({self.beta!r})")
-        if self.decay < 0.0:
+        if not self.decay >= 0.0:  # NaN fails this test too
             raise ValueError(f"decay must be >= 0, got {self.decay!r}")
 
 
@@ -59,7 +59,7 @@ class LossMatrix:
     def __post_init__(self):
         for name in ("accept_pos", "defer_pos", "reject_pos",
                      "accept_neg", "defer_neg", "reject_neg"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:  # NaN fails this test too
                 raise ValueError(f"{name} must be >= 0")
 
 

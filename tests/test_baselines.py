@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import opiniondyn.baselines as baselines_mod
 from opiniondyn import (
     build_term_set,
     cluster_count,
@@ -174,3 +175,33 @@ def test_degroot_run_freeze_weights_changes_trajectory(reference_values):
     frozen = degroot_run(reference_values, "distance", TS, t_max=3, freeze_weights=True)
     assert np.array_equal(live.values[1], frozen.values[1])  # same first step
     assert not np.array_equal(live.values[2], frozen.values[2])
+
+
+def test_degroot_run_rejects_unknown_mode_before_any_step(reference_values):
+    for t_max in (0, 3):
+        with pytest.raises(ValueError, match="unknown weight mode"):
+            degroot_run(reference_values, "median", TS, t_max=t_max)
+
+
+@pytest.mark.parametrize("freeze,builds", [(True, 1), (False, 3)])
+def test_degroot_run_builds_each_weight_matrix_once(reference_values, monkeypatch, freeze,
+                                                    builds):
+    calls = []
+    real = baselines_mod.degroot_weights
+    monkeypatch.setattr(baselines_mod, "degroot_weights",
+                        lambda x, mode: calls.append(1) or real(x, mode))
+    rec = degroot_run(reference_values, "distance", TS, t_max=3, tol=0.0,
+                      freeze_weights=freeze)
+    assert rec.iterations == 3
+    assert len(calls) == builds  # t = 0, then once per later step unless frozen
+
+
+def test_baselines_stop_by_the_shared_rule(reference_values):
+    for rec in (hk_run(reference_values, np.full(20, 0.25), TS, t_max=0),
+                degroot_run(reference_values, "uniform", TS, t_max=0)):
+        assert (rec.iterations, rec.converged) == (0, False)
+        assert math.isnan(rec.delta_max[0])
+    rec = hk_run(reference_values, np.full(20, 0.25), TS, tol=1.0)
+    assert (rec.iterations, rec.converged) == (1, True)
+    # one complete network object is shared by every snapshot
+    assert all(net is rec.networks[0] for net in rec.networks)

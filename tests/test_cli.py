@@ -264,3 +264,61 @@ def test_cli_overrides_are_validated_like_the_config(tmp_path, capsys, argv, pat
     code = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == 1
     assert f"config error at '{path}'" in capsys.readouterr().err
+
+
+def test_nan_lambda_exits_1_at_thresholds(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"n_agents": 2, "initial_opinions": [0, 6], "thresholds": {"lambda": NaN}}')
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "config error at 'thresholds'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("seeds", ["-3..-1", "18446744073709551614..18446744073709551616",
+                                   "-1", "18446744073709551616"])
+def test_sweep_rejects_out_of_range_seeds_before_any_run(tmp_path, capsys, monkeypatch, seeds):
+    cfg = write_config(tmp_path)
+    runs = []
+    monkeypatch.setattr(cli, "run_from_config", runs.append)
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), f"--seeds={seeds}"]) == 1
+    assert "config error at 'seed'" in capsys.readouterr().err
+    assert runs == [] and not out.exists()
+
+
+def test_metrics_reproduces_every_model_of_a_compare(tmp_path):
+    models = ["threeway", "degroot-uniform", "degroot-distance", "hk-homogeneous:0.25",
+              "hk-heterogeneous"]
+    cfg = write_config(tmp_path, hk={"epsilons": [0.05 + 0.02 * k for k in range(20)]})
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(out),
+                     "--models", ",".join(models)]) == 0
+    columns = ("iteration", "variance", "range", "c_aad", "delta_max")
+    for name in (spec.replace(":", "_") for spec in models):
+        met = tmp_path / "met" / name
+        assert cli.main(["metrics", str(out / name / "opinions.csv"), "--out", str(met)]) == 0
+        written = read_rows(out / name / "metrics.csv")
+        again = read_rows(met / "metrics.csv")
+        assert len(written) == len(again) > 1
+        assert [[row[c] for c in columns] for row in written] == \
+            [[row[c] for c in columns] for row in again]
+        assert all(row["avg_degree"] == row["isolated"] == "" for row in again)
+
+
+def test_metrics_keeps_file_labels_and_reports_bad_files(tmp_path, capsys):
+    sparse = tmp_path / "sparse.csv"
+    sparse.write_text("iteration,agent,value\n5,1,0.5\n5,0,0.25\n2,0,1.0\n2,1,0.0\n")
+    assert cli.main(["metrics", str(sparse), "--out", str(tmp_path / "met")]) == 0
+    rows = read_rows(tmp_path / "met" / "metrics.csv")
+    assert [(r["iteration"], r["range"], r["delta_max"]) for r in rows] == \
+        [("2", "1.0", ""), ("5", "0.25", "0.75")]
+    capsys.readouterr()
+    for name, text, message in [("cols.csv", "iteration,value\n0,0.5\n", "expected columns"),
+                                ("empty.csv", "iteration,agent,value,term_index\n",
+                                 "no data rows")]:
+        bad = tmp_path / name
+        bad.write_text(text)
+        out = tmp_path / f"out-{name}"
+        assert cli.main(["metrics", str(bad), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -217,3 +217,18 @@ def test_with_seed_matches_replace_and_checks_the_seed():
     with pytest.raises(ConfigError) as err:
         cfg.with_seed(-1)
     assert err.value.path == "seed"
+
+
+@pytest.mark.parametrize("group,inner", [
+    ("thresholds", {"lamda": 5}),
+    ("rewiring", {"p_ad": 0.5}),
+    ("term_set", {"ph": 9}),
+    ("hk", {"epsilonn": 0.2}),
+    ("degroot", {"freeze": True}),
+    ("initial_network", {"edge_prob": 0.1, "sed": 3}),
+])
+def test_unknown_nested_field_rejected(group, inner):
+    typo = next(key for key in inner if key != "edge_prob")
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(minimal() | {group: inner})
+    assert (err.value.path, err.value.reason) == (f"{group}.{typo}", "unknown field")

@@ -146,3 +146,13 @@ def test_bayes_region_minimizes(seed):
         expected_losses(loss, pr),
     ))
     assert risks[region] == min(risks.values())
+
+
+def test_nan_decay_and_losses_rejected():
+    with pytest.raises(ValueError, match="decay"):
+        ThreeWayThresholds(alpha=0.3, beta=0.6, decay=math.nan)
+    for k in range(6):
+        losses = [1.0] * 6
+        losses[k] = math.nan
+        with pytest.raises(ValueError):
+            LossMatrix(*losses)
