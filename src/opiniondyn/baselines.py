@@ -11,19 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SimulationConfig
-from .dynamics import StepResult, TrajectoryRecord, iterate
+from .dynamics import StepResult, TrajectoryRecord, average, iterate
 from .linguistic import LinguisticTermSet, nearest_terms
-from .metrics import delta_max
+from .metrics import as_opinions, delta_max
 from .network import SocialNetwork, complete_network
 
 ROW_SUM_TOL = 1e-12
-
-
-def _as_opinion_vector(opinions) -> np.ndarray:
-    arr = np.asarray(opinions, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("opinions must be a non-empty 1-d sequence")
-    return arr
 
 
 def degroot_weights(opinions, mode: str) -> np.ndarray:
@@ -34,7 +27,7 @@ def degroot_weights(opinions, mode: str) -> np.ndarray:
     included (distance 0 contributes weight 1 before normalization), so
     closer opinions always carry more influence.
     """
-    x = _as_opinion_vector(opinions)
+    x = as_opinions(opinions, max_ndim=1)
     n = x.size
     if mode == "uniform":
         return np.full((n, n), 1.0 / n)
@@ -46,13 +39,13 @@ def degroot_weights(opinions, mode: str) -> np.ndarray:
 
 def degroot_step(opinions, weights: np.ndarray) -> np.ndarray:
     """One DeGroot update: the weight matrix applied to the opinion vector."""
-    x = _as_opinion_vector(opinions)
+    x = as_opinions(opinions, max_ndim=1)
     w = np.asarray(weights, dtype=float)
     if w.shape != (x.size, x.size):
         raise ValueError(f"weights shape {w.shape} does not match {x.size} opinions")
-    if np.any(w < 0.0) or np.any(w > 1.0):
+    if not np.all((w >= 0.0) & (w <= 1.0)):
         raise ValueError("weights must lie in [0, 1]")
-    if np.max(np.abs(w.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
+    if not np.max(np.abs(w.sum(axis=1) - 1.0)) <= ROW_SUM_TOL:
         raise ValueError(f"weights are not row-stochastic within {ROW_SUM_TOL}")
     # A constant vector is a fixed point of any row-stochastic matrix; return
     # it unchanged so consensus is exact rather than off by an ulp.
@@ -63,26 +56,28 @@ def degroot_step(opinions, weights: np.ndarray) -> np.ndarray:
 
 def hk_confidence_set(agent: int, opinions, bound: float) -> np.ndarray:
     """Indices within the agent's confidence bound, the agent itself included."""
-    x = _as_opinion_vector(opinions)
+    x = as_opinions(opinions, max_ndim=1)
     if not 0 <= agent < x.size:
         raise ValueError(f"agent {agent} out of range")
-    if bound < 0.0:
+    if not bound >= 0.0:
         raise ValueError(f"bound must be >= 0, got {bound!r}")
     return np.flatnonzero(np.abs(x - x[agent]) <= bound)
 
 
-def hk_step(opinions, bounds) -> np.ndarray:
-    """One bounded-confidence update: each agent averages its confidence set."""
-    x = _as_opinion_vector(opinions)
+def _confidence_bounds(bounds, x: np.ndarray) -> np.ndarray:
     eps = np.asarray(bounds, dtype=float)
     if eps.shape != x.shape:
         raise ValueError(f"bounds shape {eps.shape} does not match {x.size} opinions")
-    out = np.empty_like(x)
-    for i in range(x.size):
-        vals = x[np.abs(x - x[i]) <= eps[i]]
-        lo, hi = vals.min(), vals.max()
-        out[i] = lo if lo == hi else vals.mean()
-    return out
+    if not np.all((eps >= 0.0) & (eps <= 1.0)):
+        raise ValueError("confidence bounds must lie in [0, 1]")
+    return eps
+
+
+def hk_step(opinions, bounds) -> np.ndarray:
+    """One bounded-confidence update: each agent averages its confidence set."""
+    x = as_opinions(opinions, max_ndim=1)
+    eps = _confidence_bounds(bounds, x)
+    return average(x, np.abs(x - x[:, None]) <= eps[:, None], 0.0)
 
 
 def _state(values: np.ndarray, previous: StepResult | None, term_set: LinguisticTermSet,
@@ -106,12 +101,8 @@ def hk_run(
     so states stay on the term scale; iteration stops when the largest
     per-agent change falls below ``tol`` or after ``t_max`` steps.
     """
-    x = _as_opinion_vector(initial_values).copy()
-    eps = np.asarray(bounds, dtype=float)
-    if eps.shape != x.shape:
-        raise ValueError(f"bounds shape {eps.shape} does not match {x.size} opinions")
-    if eps.size and (eps.min() < 0.0 or eps.max() > 1.0):
-        raise ValueError("confidence bounds must lie in [0, 1]")
+    x = as_opinions(initial_values, max_ndim=1).copy()
+    eps = _confidence_bounds(bounds, x)
     net = complete_network(x.size)
 
     def advance(state: StepResult) -> StepResult:
@@ -136,7 +127,7 @@ def degroot_run(
     step unless ``freeze_weights`` pins the matrix built at t = 0. Term
     indices in the record are nearest-term views of the numeric values.
     """
-    x = _as_opinion_vector(initial_values).copy()
+    x = as_opinions(initial_values, max_ndim=1).copy()
     weights = degroot_weights(x, mode)  # rejects an unknown mode before any step
     net = complete_network(x.size)
     first = _state(x, None, term_set, net)

@@ -70,7 +70,10 @@ def _check(path: str, kind: type, bound, value):
             raise ConfigError(path, f"expected a number, got {type(value).__name__}")
         if kind is int and not (isinstance(value, int) or value.is_integer()):
             raise ConfigError(path, f"expected an integer, got {value!r}")
-        value = kind(value)
+        try:
+            value = kind(value)
+        except OverflowError as exc:
+            raise ConfigError(path, "number too large for a float") from exc
     elif not isinstance(value, kind):
         raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
     if bound is not None and not bound[1](value):
@@ -310,6 +313,6 @@ def load_config(path) -> SimulationConfig:
         raise ConfigError(str(p), f"cannot read config file: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long to convert
         raise ConfigError(str(p), f"invalid JSON: {exc}") from exc
     return config_from_dict(raw)

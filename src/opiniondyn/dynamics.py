@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .config import SimulationConfig
 from .linguistic import LinguisticTermSet, nearest_terms
-from .network import RewiringParams, SocialNetwork, rewire, row_blocks, stats
+from .network import RewiringParams, SocialNetwork, rewire, row_blocks
 from .threeway import ThreeWayThresholds
 
 
@@ -77,13 +77,11 @@ class TrajectoryRecord:
                     d_max: float = SimulationConfig.d_max) -> "TrajectoryRecord":
         values = np.asarray(values_hist, dtype=float)
         var, rng_, cons, dmax = metrics_mod.trajectory_metrics(values, d_max)
-        net_stats = [stats(net) for net in networks]
-        avg_deg = np.array([s.average_degree for s in net_stats])
-        isolated = np.array([s.isolated_count for s in net_stats], dtype=int)
+        degrees = np.array([net.degrees() for net in networks])
         return cls(
             values=values, terms=np.asarray(terms_hist, dtype=int), networks=list(networks),
             variance=var, opinion_range=rng_, consensus=cons,
-            avg_degree=avg_deg, isolated=isolated, delta_max=dmax,
+            avg_degree=degrees.mean(axis=1), isolated=(degrees == 0).sum(axis=1), delta_max=dmax,
             converged=converged, iterations=values.shape[0] - 1, d_max=d_max,
         )
 
@@ -116,8 +114,7 @@ def _filter_links(
     accepted &= links
     exponents = -thresholds.decay * (dist[hesitant] - thresholds.alpha)
     del dist
-    unique, inverse = np.unique(exponents, return_inverse=True)
-    probs = np.array([math.exp(e) for e in unique.tolist()])[inverse]
+    probs = np.array([math.exp(e) for e in exponents.tolist()])
     rows, cols = np.nonzero(hesitant)
     take = rng.random(rows.size) < probs
     accepted[rows[take], cols[take]] = True
@@ -169,6 +166,14 @@ def update_value(current: float, accepted, opinions: np.ndarray, inertia: float)
     return float(inertia * current + (1.0 - inertia) * mean)
 
 
+def average(opinions: np.ndarray, listens: np.ndarray, inertia: float) -> np.ndarray:
+    """:func:`update_value` for each agent over the agents marked in its row."""
+    averaged = opinions.copy()
+    for i in np.flatnonzero(listens.any(axis=1)):
+        averaged[i] = update_value(opinions[i], np.flatnonzero(listens[i]), opinions, inertia)
+    return averaged
+
+
 def step(
     opinions: np.ndarray,
     net: SocialNetwork,
@@ -192,14 +197,10 @@ def step(
     # others average, then map back to the nearest linguistic term, whose
     # value becomes the carried state, so opinions always sit on the term
     # scale (matching the reported term-valued metrics).
-    movers = np.flatnonzero(accepted.any(axis=1))
-    averaged = opinions.copy()
-    for i in movers:
-        averaged[i] = update_value(opinions[i], np.flatnonzero(accepted[i]), opinions, inertia)
+    movers = accepted.any(axis=1)
+    new_terms = nearest_terms(term_set, average(opinions, accepted, inertia))
     del accepted
-    new_terms = nearest_terms(term_set, averaged)
-    new_values = opinions.copy()
-    new_values[movers] = term_set.values[new_terms[movers]]
+    new_values = np.where(movers, term_set.values[new_terms], opinions)
     new_net = rewire(net, opinions, rewiring, rng, counters)
     return StepResult(
         values=new_values,

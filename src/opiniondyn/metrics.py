@@ -1,4 +1,5 @@
-"""Consensus measurement: dispersion, extremes, normalized agreement, clusters."""
+"""Consensus measurement: dispersion, extremes, normalized agreement, clusters.
+All but cluster_count take a state (giving a float) or a history, one state per row."""
 
 from __future__ import annotations
 
@@ -7,30 +8,39 @@ import numpy as np
 from .linguistic import LinguisticTermSet
 
 
-def _as_opinions(opinions) -> np.ndarray:
-    arr = np.asarray(opinions, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("opinions must be a non-empty 1-d sequence")
+def as_opinions(opinions, max_ndim: int = 2) -> np.ndarray:
+    """A non-empty state (1-d) or, with max_ndim 2, also a history of states (2-d)."""
+    arr = np.asarray(opinions, dtype=float, order="C")
+    if not 1 <= arr.ndim <= max_ndim or arr.shape[-1] == 0:
+        shape = "1-d sequence" if max_ndim == 1 else "1-d sequence or 2-d history"
+        raise ValueError(f"opinions must be a non-empty {shape}")
     return arr
 
 
-def variance(opinions) -> float:
+def _per_state(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+def _deviations(arr: np.ndarray) -> np.ndarray:
+    """Each opinion minus its state's mean; exactly 0 in an all-equal state
+    (np.mean of identical values can be an ulp off, leaving a spurious residual)."""
+    spread = arr.min(axis=-1, keepdims=True) != arr.max(axis=-1, keepdims=True)
+    return np.subtract(arr, arr.mean(axis=-1, keepdims=True), out=np.zeros_like(arr),
+                       where=spread)
+
+
+def variance(opinions):
     """Population variance (divide by n, not n-1)."""
-    arr = _as_opinions(opinions)
-    # an all-equal state must score exactly 0 (np.mean of identical values
-    # can be an ulp off, leaving a spurious residual)
-    if arr.min() == arr.max():
-        return 0.0
-    return float(np.mean((arr - arr.mean()) ** 2))
+    return _per_state(np.mean(_deviations(as_opinions(opinions)) ** 2, axis=-1))
 
 
-def opinion_range(opinions) -> float:
+def opinion_range(opinions):
     """Max minus min; 0 means complete consensus."""
-    arr = _as_opinions(opinions)
-    return float(arr.max() - arr.min())
+    arr = as_opinions(opinions)
+    return _per_state(arr.max(axis=-1) - arr.min(axis=-1))
 
 
-def consensus_index(opinions, d_max: float = 0.5) -> float:
+def consensus_index(opinions, d_max: float = 0.5):
     """1 minus the mean absolute deviation scaled by the largest possible one.
 
     The default d_max = 0.5 is the maximal achievable mean absolute
@@ -39,11 +49,8 @@ def consensus_index(opinions, d_max: float = 0.5) -> float:
     """
     if not d_max > 0.0:
         raise ValueError(f"d_max must be > 0, got {d_max!r}")
-    arr = _as_opinions(opinions)
-    if arr.min() == arr.max():
-        return 1.0
-    mad = float(np.mean(np.abs(arr - arr.mean())))
-    return 1.0 - mad / d_max
+    mad = np.mean(np.abs(_deviations(as_opinions(opinions))), axis=-1)
+    return _per_state(1.0 - mad / d_max)
 
 
 def cluster_count(opinions, tolerance: float) -> int:
@@ -53,29 +60,30 @@ def cluster_count(opinions, tolerance: float) -> int:
     consecutive values that exceeds ``tolerance``. Chained sub-tolerance
     gaps merge transitively. tolerance = 0 counts distinct values.
     """
-    if tolerance < 0.0:
+    if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
-    arr = np.sort(_as_opinions(opinions))
+    arr = np.sort(as_opinions(opinions, max_ndim=1))
     return 1 + int(np.sum(np.diff(arr) > tolerance))
 
 
-def delta_max(previous, current) -> float:
-    """Largest per-agent opinion change between two states."""
+def delta_max(previous, current):
+    """Largest per-agent opinion change between two states (or histories)."""
     prev = np.asarray(previous, dtype=float)
     curr = np.asarray(current, dtype=float)
     if prev.shape != curr.shape:
         raise ValueError(f"length mismatch: {prev.shape} vs {curr.shape}")
-    return float(np.max(np.abs(curr - prev)))
+    return _per_state(np.max(np.abs(curr - prev), axis=-1))
 
 
 def trajectory_metrics(states, d_max: float):
-    """Variance, range, consensus index and delta_max, one array entry per
-    state; delta_max compares a state with the one before, NaN for the first."""
+    """Variance, range, consensus index and delta_max of a history; delta_max
+    compares a state with the one before, NaN for the first."""
+    states = as_opinions(states)
     return (
-        np.array([variance(x) for x in states]),
-        np.array([opinion_range(x) for x in states]),
-        np.array([consensus_index(x, d_max) for x in states]),
-        np.array([np.nan] + [delta_max(a, b) for a, b in zip(states, states[1:])]),
+        variance(states),
+        opinion_range(states),
+        consensus_index(states, d_max),
+        np.concatenate(([np.nan], delta_max(states[:-1], states[1:]))),
     )
 
 

@@ -43,9 +43,10 @@ def write_csv(path: Path, header: list[str], rows) -> None:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
-def read_opinions(path: Path) -> tuple[list[int], list[np.ndarray]]:
-    """The iteration labels of an opinions CSV, ascending, and each
-    iteration's opinions in agent order. The term_index column is optional."""
+def read_opinions(path: Path) -> tuple[list[int], np.ndarray]:
+    """The iteration labels of an opinions CSV, ascending, and one row per
+    iteration of its opinions in agent order. Every iteration must list the
+    same agents, once each. The term_index column is optional."""
     required = OPINIONS_COLUMNS[:3]
     per_iteration: dict[int, dict[int, float]] = {}
     try:
@@ -55,15 +56,22 @@ def read_opinions(path: Path) -> tuple[list[int], list[np.ndarray]]:
                 raise RuntimeError(f"{path}: expected columns "
                                    f"{','.join(required)}[,{OPINIONS_COLUMNS[3]}]")
             for row in reader:
-                per_iteration.setdefault(int(row["iteration"]), {})[int(row["agent"])] = \
-                    float(row["value"])
+                k, agent = int(row["iteration"]), int(row["agent"])
+                opinions = per_iteration.setdefault(k, {})
+                if agent in opinions:
+                    raise RuntimeError(f"{path}: iteration {k} lists agent {agent} twice")
+                opinions[agent] = float(row["value"])
     except OSError as exc:
         raise RuntimeError(f"cannot read {path}: {exc}") from exc
     if not per_iteration:
         raise RuntimeError(f"{path}: no data rows")
     iterations = sorted(per_iteration)
-    return iterations, [np.array([per_iteration[k][a] for a in sorted(per_iteration[k])])
-                        for k in iterations]
+    agents = sorted(per_iteration[iterations[0]])
+    for k in iterations:
+        if sorted(per_iteration[k]) != agents:
+            raise RuntimeError(f"{path}: iteration {k} does not list the agents of "
+                               f"iteration {iterations[0]}")
+    return iterations, np.array([[per_iteration[k][a] for a in agents] for k in iterations])
 
 
 def write_metrics(path: Path, iterations, variance, opinion_range, consensus, delta_max,

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -322,3 +325,53 @@ def test_metrics_keeps_file_labels_and_reports_bad_files(tmp_path, capsys):
         assert cli.main(["metrics", str(bad), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+HUGE = "1" + "0" * 400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize("field,path", [
+    (f'"inertia": {HUGE}', "inertia"),
+    (f'"thresholds": {{"alpha": {HUGE}}}', "thresholds.alpha"),
+    (f'"rewiring": {{"p_add": {HUGE}}}', "rewiring.p_add"),
+    (f'"epsilon": {HUGE}', "epsilon"),
+    (f'"initial_network": {{"edge_prob": {HUGE}}}', "initial_network.edge_prob"),
+    (f'"hk": {{"epsilons": [{HUGE}, 0.1]}}', "hk.epsilons[0]"),
+    ('"seed": ' + "9" * 5000, "config.json"),  # too long even to parse as an integer
+], ids=["inertia", "alpha", "p_add", "epsilon", "edge_prob", "epsilons", "5000-digits"])
+def test_huge_json_integer_exits_1_at_its_field(tmp_path, capsys, field, path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"n_agents": 2, "initial_opinions": [0, 6], ' + field + "}")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert path + "'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("rows,iteration", [
+    ("0,0,0.0\n0,1,1.0\n1,0,0.5\n1,2,0.5\n", 1),  # another agent set
+    ("0,0,0.0\n0,1,1.0\n0,1,0.5\n1,0,0.5\n1,1,0.5\n", 0),  # an agent listed twice
+    ("0,0,0.0\n0,1,1.0\n1,0,0.5\n", 1),  # an agent missing
+], ids=["other-agents", "duplicate", "missing"])
+def test_metrics_requires_the_same_agents_in_every_iteration(tmp_path, capsys, rows, iteration):
+    opinions = tmp_path / "opinions.csv"
+    opinions.write_text("iteration,agent,value\n" + rows)
+    out = tmp_path / "met"
+    assert cli.main(["metrics", str(opinions), "--out", str(out)]) == 2
+    assert f"iteration {iteration} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_module_entry_point_runs_and_reports_config_errors(tmp_path):
+    pythonpath = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+
+    def opiniondyn(config: dict, out: Path) -> int:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        return subprocess.run([sys.executable, "-m", "opiniondyn", "run", "--config", str(cfg),
+                               "--out", str(out)], env=env, capture_output=True,
+                              timeout=120).returncode
+
+    assert opiniondyn({"n_agents": 2, "initial_opinions": [0, 6]}, tmp_path / "ok") == 0
+    assert (tmp_path / "ok" / "manifest.json").exists()
+    assert opiniondyn({"n_agents": 2, "initial_opinions": [0, 9]}, tmp_path / "bad") == 1

@@ -3,9 +3,9 @@
 The loops below restate the documented model one decision and one draw at
 a time, from the scalar primitives ``classify_neighbor`` and ``update_value``
 and a brute-force nearest-term scan. The batched ``step``, ``filter_neighbors``,
-``random_network`` and ``nearest_terms`` must match them exactly: the same
-values, terms and adjacency, and the same number of uniform draws taken,
-which shows as the same next ``rng.random()`` on both generators.
+``random_network``, ``nearest_terms`` and ``hk_step`` must match them exactly:
+the same values, terms and adjacency, and the same number of uniform draws
+taken, which shows as the same next ``rng.random()`` on both generators.
 """
 
 from unittest import mock
@@ -20,6 +20,8 @@ from opiniondyn import (
     build_term_set,
     classify_neighbor,
     filter_neighbors,
+    hk_confidence_set,
+    hk_step,
     nearest_term,
     nearest_terms,
     network,
@@ -160,3 +162,14 @@ def test_nearest_terms_matches_scalar_scan(phi, base, values, midpoints):
     expected = [scalar_nearest(term_set, v) for v in values]
     assert nearest_terms(term_set, values).tolist() == expected
     assert [nearest_term(term_set, v) for v in values] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12))
+def test_hk_step_matches_scalar_averaging(data, n):
+    on_scale = st.sampled_from([float(v) for v in build_term_set(3, 2).values])
+    x = np.array(data.draw(st.lists(st.one_of(on_scale, unit), min_size=n, max_size=n)))
+    eps = np.array(data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), unit),
+                                      min_size=n, max_size=n)))
+    expected = [update_value(x[i], hk_confidence_set(i, x, eps[i]), x, 0.0) for i in range(n)]
+    assert hk_step(x, eps).tobytes() == np.array(expected).tobytes()

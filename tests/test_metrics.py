@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from opiniondyn import (
     build_term_set,
@@ -13,6 +14,7 @@ from opiniondyn import (
     opinion_range,
     variance,
 )
+from opiniondyn.metrics import trajectory_metrics
 
 TWO_CLUSTER = np.array([0.0] * 5 + [0.5] * 15)
 
@@ -120,3 +122,58 @@ def test_degenerate_equivalences(opinions):
 def test_delta_max_symmetry(a):
     b = 1.0 - a
     assert delta_max(a, b) == delta_max(b, a)
+
+
+# Scalar references: one state at a time, each with its own all-equal guard.
+def scalar_variance(x) -> float:
+    return 0.0 if x.min() == x.max() else float(np.mean((x - x.mean()) ** 2))
+
+
+def scalar_consensus(x, d_max) -> float:
+    return 1.0 if x.min() == x.max() else 1.0 - float(np.mean(np.abs(x - x.mean()))) / d_max
+
+
+@st.composite
+def histories(draw):
+    # widths past 128 make numpy's pairwise sum split each row into blocks
+    n = draw(st.one_of(st.integers(1, 12), st.integers(120, 300)))
+    values = st.one_of(st.floats(0, 1), st.sampled_from(build_term_set(3, 2).values.tolist()))
+    row = st.one_of(
+        arrays(np.float64, n, elements=values),
+        values.map(lambda v: np.full(n, v)),
+        st.integers(0, 2**32 - 1).map(lambda s: np.random.default_rng(s).random(n)),
+    )
+    return np.array(draw(st.lists(row, min_size=1, max_size=5)))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200)
+@given(hist=histories(), d_max=st.sampled_from([0.5, 0.3, 1.0, 7.0]))
+@example(hist=np.array([[0.0, 8.04e-274]]), d_max=0.5)
+@example(hist=np.array([[0.3] * 5, [1 / 3] * 5, [0.1, 0.2, 0.3, 0.4, 0.5]]), d_max=0.5)
+@example(hist=np.array([[0.25], [0.75], [0.75]]), d_max=0.5)
+@example(hist=np.random.default_rng(5).random((3, 257)), d_max=0.5)
+def test_history_metrics_equal_per_state_calls(hist, d_max):
+    rows = list(hist)
+    for metric, reference in [(variance, scalar_variance), (opinion_range, None),
+                              (lambda x: consensus_index(x, d_max),
+                               lambda x: scalar_consensus(x, d_max))]:
+        per_row = [metric(x) for x in rows]
+        assert all(type(v) is float for v in per_row)
+        assert same_bits(metric(hist), per_row)
+        if reference is not None:
+            assert same_bits(per_row, [reference(x) for x in rows])
+    steps = [delta_max(a, b) for a, b in zip(rows, rows[1:])]
+    assert all(type(v) is float for v in steps)
+    assert same_bits(delta_max(hist[:-1], hist[1:]), steps)
+    expected = ([variance(x) for x in rows], [opinion_range(x) for x in rows],
+                [consensus_index(x, d_max) for x in rows], [np.nan] + steps)
+    for states in (hist, rows):
+        for got, want in zip(trajectory_metrics(states, d_max), expected):
+            assert same_bits(got, want)
+    with pytest.raises(ValueError):
+        cluster_count(hist, 0.1)  # one state only
