@@ -30,6 +30,11 @@ class LinguisticTermSet:
         return 2 * self.phi + 1
 
 
+# The largest phi accepted: 20,001 terms, built in milliseconds. The bound is
+# checked before the table is allocated, so a huge phi fails at once.
+MAX_PHI = 10_000
+
+
 def build_term_set(phi: int, base: float) -> LinguisticTermSet:
     """Build a term set, evaluating the scale function once for every index.
 
@@ -40,8 +45,8 @@ def build_term_set(phi: int, base: float) -> LinguisticTermSet:
     which is 0 at j=0, exactly 0.5 at j=phi, 1 at j=2*phi, strictly
     increasing, and symmetric: value[j] + value[2*phi - j] = 1.
     """
-    if not isinstance(phi, (int, np.integer)) or phi < 1:
-        raise ValueError(f"phi must be a positive integer, got {phi!r}")
+    if not isinstance(phi, (int, np.integer)) or not 1 <= phi <= MAX_PHI:
+        raise ValueError(f"phi must be an integer in [1, {MAX_PHI}], got {phi!r}")
     if not base > 1.0:
         # base = 1 collapses the denominator 2*(base^phi - 1) to zero
         raise ValueError(f"base must be > 1, got {base!r}")

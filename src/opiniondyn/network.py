@@ -212,8 +212,20 @@ def rewire(
 # ascending pair order; blank lines and '#' comments are ignored on read.
 # ---------------------------------------------------------------------------
 
+def _edge_rows(net: SocialNetwork):
+    """The edge lines of each agent with a higher-indexed neighbour, one
+    string per agent: row i of the upper triangle, as "i j" lines."""
+    adj = net.adjacency
+    labels = np.array([f"{j}\n" for j in range(net.size)], dtype=object)
+    for i in range(net.size):
+        jj = np.flatnonzero(adj[i, i + 1:])
+        if jj.size:
+            prefix = f"{i} "
+            yield prefix + prefix.join(labels[jj + (i + 1)].tolist())
+
+
 def format_edge_list(net: SocialNetwork) -> str:
-    return "".join(f"{i} {j}\n" for i, j in net.edges())
+    return "".join(_edge_rows(net))
 
 
 def parse_edge_list(text: str) -> list[tuple[int, int]]:
@@ -230,7 +242,10 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
 
 
 def save_edge_list(net: SocialNetwork, path) -> None:
-    Path(path).write_text(format_edge_list(net))
+    """Write the edge list one agent row at a time, so the text of the whole
+    network is never held in memory at once."""
+    with open(path, "w") as fh:
+        fh.writelines(_edge_rows(net))
 
 
 def load_network(path, n: int) -> SocialNetwork:

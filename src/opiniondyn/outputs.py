@@ -116,16 +116,15 @@ def write_trajectory(record: TrajectoryRecord, outdir: Path,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    opinion_rows = []
-    term_rows = []
-    for k in range(record.iterations + 1):
-        for agent in range(record.n_agents):
-            opinion_rows.append(
-                (k, agent, fmt_float(record.values[k, agent]), int(record.terms[k, agent]))
-            )
-            term_rows.append((k, agent, int(record.terms[k, agent])))
-    write_csv(outdir / OPINIONS_FILE, OPINIONS_COLUMNS, opinion_rows)
-    write_csv(outdir / TERMS_FILE, ["iteration", "agent", "term_index"], term_rows)
+    # Python floats and ints, one list per iteration: repr of a float from
+    # tolist() is fmt_float of the numpy value.
+    values, terms = record.values.tolist(), record.terms.tolist()
+    write_csv(outdir / OPINIONS_FILE, OPINIONS_COLUMNS,
+              ((k, agent, repr(v), t)
+               for k, (row_v, row_t) in enumerate(zip(values, terms))
+               for agent, (v, t) in enumerate(zip(row_v, row_t))))
+    write_csv(outdir / TERMS_FILE, ["iteration", "agent", "term_index"],
+              ((k, agent, t) for k, row_t in enumerate(terms) for agent, t in enumerate(row_t)))
 
     write_metrics(outdir / METRICS_FILE, range(record.iterations + 1), record.variance,
                   record.opinion_range, record.consensus, record.delta_max,

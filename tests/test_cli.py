@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from opiniondyn import cli
+from opiniondyn.config import load_config
+from opiniondyn.outputs import write_trajectory
 from conftest import REFERENCE_TERMS
 
 
@@ -226,6 +229,26 @@ def test_term_set_overflow_exits_1(tmp_path, capsys, phi, base):
     cfg = write_config(tmp_path, term_set={"phi": phi, "base": base})
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "term_set" in capsys.readouterr().err
+
+
+def test_huge_phi_exits_1_before_building_the_term_table(tmp_path, capsys):
+    cfg = write_config(tmp_path, term_set={"phi": 1_000_000_000, "base": 1.0000001})
+    start = time.perf_counter()
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "term_set" in err and "phi" in err
+
+
+def test_unwritable_edge_file_is_a_runtime_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    blocked = tmp_path / "out" / "network_0.edges"
+    blocked.mkdir(parents=True)  # a directory where the edge file should go
+    record = cli.run_from_config(load_config(cfg))
+    with pytest.raises(RuntimeError, match="cannot write .*network_0.edges"):
+        write_trajectory(record, tmp_path / "out", 0.01)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "network_0.edges" in capsys.readouterr().err
 
 
 def test_parse_seed_range():

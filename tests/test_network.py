@@ -1,8 +1,10 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opiniondyn import (
     RewiringParams,
@@ -194,3 +196,41 @@ def test_edge_list_parser_handles_comments_and_blanks():
     with pytest.raises(ValueError):
         parse_edge_list("0 1 2\n")
     assert format_edge_list(empty_network(3)) == ""
+
+
+def reference_edge_text(net: SocialNetwork) -> str:
+    """The edge-list format by definition: one f-string per (i, j) pair."""
+    return "".join(f"{i} {j}\n" for i, j in net.edges())
+
+
+def isolate(net: SocialNetwork, agents) -> SocialNetwork:
+    adj = net.adjacency.copy()
+    for agent in agents:
+        adj[agent, :] = adj[:, agent] = False
+    return SocialNetwork(adj)
+
+
+@st.composite
+def symmetric_networks(draw):
+    n = draw(st.integers(1, 64))
+    edge_prob = draw(st.one_of(st.just(0.0), st.floats(0, 1), st.just(1.0)))
+    net = random_network(n, edge_prob, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return isolate(net, draw(st.sets(st.sampled_from([0, n - 1]))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(net=symmetric_networks())
+@example(net=empty_network(1))
+@example(net=empty_network(9))
+@example(net=complete_network(64))
+@example(net=isolate(complete_network(12), [0]))
+@example(net=isolate(complete_network(12), [11]))
+@example(net=isolate(random_network(130, 0.5, np.random.default_rng(3)), [0, 129]))
+def test_edge_writer_matches_per_pair_reference(net):
+    text = format_edge_list(net)
+    assert text == reference_edge_text(net)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.edges"
+        save_edge_list(net, path)
+        assert path.read_bytes() == text.encode()
+        assert np.array_equal(load_network(path, net.size).adjacency, net.adjacency)
