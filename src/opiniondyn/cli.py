@@ -37,7 +37,7 @@ def run_from_config(config: SimulationConfig) -> TrajectoryRecord:
     if config.model == "threeway":
         return dynamics.run(config)
     term_set = config.term_set()
-    values0 = config.initial_values(term_set)
+    values0 = config.initial_values()
     if config.model in ("degroot-uniform", "degroot-distance"):
         mode = config.model.split("-", 1)[1]
         return baselines.degroot_run(

@@ -137,7 +137,8 @@ class SimulationConfig:
 
     Construction checks every field and normalises numbers (an int given
     for a float field becomes a float) and sequences (to tuples), raising
-    ConfigError with the field's JSON path.
+    ConfigError with the field's JSON path. The term table it builds to
+    check ``phi`` and ``base`` is kept, outside the fields, for ``term_set()``.
     """
 
     n_agents: int = _setting("n_agents", kind=int, bound=_AT_LEAST_ONE)
@@ -166,7 +167,7 @@ class SimulationConfig:
     def __post_init__(self):
         _normalise(self)
         try:
-            build_term_set(self.phi, self.base)
+            object.__setattr__(self, "_term_set", build_term_set(self.phi, self.base))
         except ValueError as exc:
             raise ConfigError("term_set", str(exc)) from exc
 
@@ -196,17 +197,17 @@ class SimulationConfig:
 
     def with_seed(self, seed: int) -> SimulationConfig:
         """This config with another seed. Only the seed is checked: no other
-        field depends on it, and a sweep makes one such copy per seed."""
+        field depends on it, and a sweep makes one such copy per seed. The
+        copy shares this config's term table."""
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__, seed=check_setting("seed", seed))
         return clone
 
     def term_set(self) -> LinguisticTermSet:
-        return build_term_set(self.phi, self.base)
+        return self._term_set
 
-    def initial_values(self, term_set: LinguisticTermSet | None = None) -> np.ndarray:
-        ts = term_set if term_set is not None else self.term_set()
-        return ts.values[np.asarray(self.initial_opinions, dtype=int)].copy()
+    def initial_values(self) -> np.ndarray:
+        return self._term_set.values[np.asarray(self.initial_opinions, dtype=int)]
 
     def build_initial_network(self, rng: np.random.Generator) -> SocialNetwork:
         spec = self.initial_network

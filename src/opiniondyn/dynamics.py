@@ -112,12 +112,12 @@ def _filter_links(
     np.logical_not(hesitant, out=hesitant)  # NaN distances hesitate, as in the scalar rule
     hesitant &= links
     accepted &= links
-    exponents = -thresholds.decay * (dist[hesitant] - thresholds.alpha)
+    # Flat indices into the fresh, C-contiguous blocks, in row-major order.
+    drawn = np.flatnonzero(hesitant)
+    exponents = -thresholds.decay * (dist.ravel()[drawn] - thresholds.alpha)
     del dist
     probs = np.array([math.exp(e) for e in exponents.tolist()])
-    rows, cols = np.nonzero(hesitant)
-    take = rng.random(rows.size) < probs
-    accepted[rows[take], cols[take]] = True
+    accepted.ravel()[drawn[rng.random(drawn.size) < probs]] = True
     return accepted
 
 
@@ -237,7 +237,7 @@ def run(config: SimulationConfig) -> TrajectoryRecord:
     """
     term_set = config.term_set()
     rng = np.random.default_rng(config.seed)
-    first = StepResult(config.initial_values(term_set),
+    first = StepResult(config.initial_values(),
                        np.asarray(config.initial_opinions, dtype=int),
                        config.build_initial_network(rng), math.nan)
 

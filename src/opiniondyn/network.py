@@ -29,6 +29,14 @@ class SocialNetwork:
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency is not symmetric")
 
+    @classmethod
+    def _built(cls, adjacency: np.ndarray) -> SocialNetwork:
+        """A network over an adjacency that is square, boolean, symmetric and
+        loop-free by construction, skipping the checks of public construction."""
+        net = object.__new__(cls)
+        object.__setattr__(net, "adjacency", adjacency)
+        return net
+
     @property
     def size(self) -> int:
         return self.adjacency.shape[0]
@@ -141,21 +149,31 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
+def _mask_below_diagonal(block: np.ndarray) -> None:
+    """Clear the pairs (i, j) with j <= i in a block of rows i0, i0+1, ...
+    whose columns start at j = i0 + 1. Only its leading corner holds them."""
+    corner = block[:, :block.shape[0] - 1]
+    corner[np.tri(*corner.shape, k=-1, dtype=bool)] = False
+
+
 def random_network(n: int, edge_prob: float, rng: np.random.Generator) -> SocialNetwork:
     """Erdos-Renyi style random network.
 
     One uniform draw per unordered pair, in ascending (i, j) order; the pair
     is connected when the draw falls below ``edge_prob``. The draws are taken
-    one row of the upper triangle at a time, which is the same stream.
+    one block of upper-triangle rows at a time, which is the same stream.
     """
     if n < 1:
         raise ValueError(f"network size must be >= 1, got {n}")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob!r}")
     adj = np.zeros((n, n), dtype=bool)
-    for i in range(n - 1):
-        adj[i, i + 1:] = adj[i + 1:, i] = rng.random(n - 1 - i) < edge_prob
-    return SocialNetwork(adj)
+    for rows in row_blocks(n):
+        upper = np.ones((rows.stop - rows.start, n - rows.start - 1), dtype=bool)
+        _mask_below_diagonal(upper)
+        adj[rows, rows.start + 1:][upper] = rng.random(np.count_nonzero(upper)) < edge_prob
+    adj |= adj.T
+    return SocialNetwork._built(adj)
 
 
 def rewire(
@@ -183,28 +201,35 @@ def rewire(
 
     old = net.adjacency
     new = old.copy()
+    flat = new.ravel()  # a view: the copy is C-contiguous
     if counters is not None:
         counters.rewire_visits += n * (n - 1) // 2
     # Eligibility is a pure function of the old state, so each block of rows
-    # takes the draws of all its eligible pairs at once, still in
-    # lexicographic order (np.nonzero walks the block's upper triangle
-    # row-major).
+    # takes the draws of all its eligible pairs at once. A block covers only
+    # the columns right of its first row's diagonal, and np.flatnonzero walks
+    # it row-major, so the draws stay in lexicographic pair order.
     for rows in row_blocks(n):
-        dist = np.subtract.outer(opinions[rows], opinions)
+        first = rows.start + 1
+        dist = np.subtract.outer(opinions[rows], opinions[first:])
         np.abs(dist, out=dist)
+        linked = old[rows, first:]
         addable = dist < params.delta_add
         eligible = dist > params.delta_cut
         del dist
-        addable &= ~old[rows]
-        eligible &= old[rows]
+        addable &= ~linked
+        eligible &= linked
         eligible |= addable
-        ii, jj = np.nonzero(np.triu(eligible, k=rows.start + 1))
-        add = addable[ii, jj]
-        flip = rng.random(ii.size) < np.where(add, params.p_add, params.p_cut)
-        ii, jj, add = ii[flip] + rows.start, jj[flip], add[flip]
-        new[ii, jj] = add
-        new[jj, ii] = add
-    return SocialNetwork(new)
+        _mask_below_diagonal(eligible)
+        pairs = np.flatnonzero(eligible)
+        add = addable.ravel()[pairs]
+        flip = rng.random(pairs.size) < np.where(add, params.p_add, params.p_cut)
+        ii, jj = np.divmod(pairs[flip], eligible.shape[1])
+        ii += rows.start
+        jj += first
+        add = add[flip]
+        flat[ii * n + jj] = add
+        flat[jj * n + ii] = add
+    return SocialNetwork._built(new)
 
 
 # ---------------------------------------------------------------------------

@@ -232,3 +232,16 @@ def test_unknown_nested_field_rejected(group, inner):
     with pytest.raises(ConfigError) as err:
         config_from_dict(minimal() | {group: inner})
     assert (err.value.path, err.value.reason) == (f"{group}.{typo}", "unknown field")
+
+
+def test_term_set_is_built_once_and_kept_out_of_the_schema():
+    cfg = config_from_dict(minimal() | {"term_set": {"phi": 4, "base": 1.5}})
+    assert cfg.term_set() is cfg.term_set()
+    assert cfg.with_seed(5).term_set() is cfg.term_set()
+    # a rebuilt config holds its own table and still compares equal
+    rebuilt = replace(cfg)
+    assert rebuilt.term_set() is not cfg.term_set() and rebuilt == cfg
+    assert rebuilt.to_dict() == cfg.to_dict()
+    assert cfg.to_dict()["term_set"] == {"phi": 4, "base": 1.5}
+    assert "_term_set" not in repr(cfg)
+    assert (cfg.term_set().phi, cfg.term_set().base) == (4, 1.5)

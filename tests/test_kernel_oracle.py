@@ -3,7 +3,8 @@
 The loops below restate the documented model one decision and one draw at
 a time, from the scalar primitives ``classify_neighbor`` and ``update_value``
 and a brute-force nearest-term scan. The batched ``step``, ``filter_neighbors``,
-``random_network``, ``nearest_terms`` and ``hk_step`` must match them exactly:
+``rewire``, ``random_network``, ``nearest_terms`` and ``hk_step`` must match
+them exactly:
 the same values, terms and adjacency, and the same number of uniform draws
 taken, which shows as the same next ``rng.random()`` on both generators.
 """
@@ -26,6 +27,7 @@ from opiniondyn import (
     nearest_terms,
     network,
     random_network,
+    rewire,
     step,
     update_value,
 )
@@ -71,6 +73,11 @@ def scalar_step(opinions, adj, term_set, thresholds, inertia, rewiring, rng):
             continue
         terms[i] = scalar_nearest(term_set, update_value(opinions[i], accepted, opinions, inertia))
         values[i] = term_set.values[terms[i]]
+    return values, terms, scalar_rewire(opinions, adj, rewiring, rng), visits
+
+
+def scalar_rewire(opinions, adj, rewiring, rng) -> np.ndarray:
+    n = opinions.size
     new = adj.copy()
     for i in range(n - 1):
         for j in range(i + 1, n):
@@ -81,7 +88,7 @@ def scalar_step(opinions, adj, term_set, thresholds, inertia, rewiring, rng):
             elif adj[i, j] and d > rewiring.delta_cut:
                 if rng.random() < rewiring.p_cut:
                     new[i, j] = new[j, i] = False
-    return values, terms, new, visits
+    return new
 
 
 @st.composite
@@ -109,12 +116,49 @@ def generator_pair(seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 12), edge_prob=edge_probs, seed=st.integers(0, 2**32 - 1))
-def test_random_network_matches_scalar_draws(n, edge_prob, seed):
+@given(n=st.integers(1, 12), edge_prob=edge_probs, seed=st.integers(0, 2**32 - 1),
+       block_pairs=st.one_of(st.integers(1, 40), st.just(network.BLOCK_PAIRS)))
+def test_random_network_matches_scalar_draws(n, edge_prob, seed, block_pairs):
     batched, scalar = generator_pair(seed)
-    net = random_network(n, edge_prob, batched)
+    with mock.patch.object(network, "BLOCK_PAIRS", block_pairs):
+        net = random_network(n, edge_prob, batched)
     assert np.array_equal(net.adjacency, scalar_random_network(n, edge_prob, scalar))
     assert batched.random() == scalar.random()
+
+
+@st.composite
+def rewire_cases(draw):
+    n = draw(st.integers(1, 12))
+    on_scale = st.sampled_from([float(v) for v in build_term_set(3, 2.0).values])
+    opinions = np.array(draw(st.lists(st.one_of(on_scale, unit), min_size=n, max_size=n)))
+    # a threshold equal to a pair's distance tests the strict inequalities
+    distances = st.sampled_from(sorted({abs(a - b) for a in opinions for b in opinions}))
+    deltas = st.one_of(unit, distances)
+    rewiring = RewiringParams(draw(deltas), draw(deltas), draw(probabilities), draw(probabilities))
+    # k rows per block; late blocks then hold more rows than columns right of
+    # their first diagonal, and k = 1 leaves row n-1 alone, with no columns
+    rows_per_block = draw(st.integers(1, n))
+    return dict(
+        opinions=opinions, rewiring=rewiring, edge_prob=draw(edge_probs),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        block_pairs=draw(st.sampled_from([rows_per_block * n, network.BLOCK_PAIRS])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rewire_cases())
+def test_rewire_matches_scalar_pairs(case):
+    n = case["opinions"].size
+    net = random_network(n, case["edge_prob"], np.random.default_rng(case["seed"]))
+    batched, scalar = generator_pair(case["seed"] + 1)
+    with mock.patch.object(network, "BLOCK_PAIRS", case["block_pairs"]):
+        adj = rewire(net, case["opinions"], case["rewiring"], batched).adjacency
+    assert np.array_equal(adj, scalar_rewire(case["opinions"], net.adjacency,
+                                             case["rewiring"], scalar))
+    assert batched.random() == scalar.random()
+    # rewire builds its network without the constructor's checks
+    assert adj.dtype == np.bool_ and adj.shape == (n, n)
+    assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
 
 
 @settings(max_examples=300, deadline=None)
