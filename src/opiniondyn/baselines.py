@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SimulationConfig
-from .dynamics import StepResult, TrajectoryRecord, average, iterate
+from .dynamics import StepResult, TrajectoryRecord, average, average_terms, iterate
 from .linguistic import LinguisticTermSet, nearest_terms
 from .metrics import as_opinions, delta_max
 from .network import SocialNetwork, complete_network
@@ -73,11 +73,15 @@ def _confidence_bounds(bounds, x: np.ndarray) -> np.ndarray:
     return eps
 
 
+def _confidence_sets(x: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Row i marks the agents within agent i's bound, agent i included."""
+    return np.abs(x - x[:, None]) <= eps[:, None]
+
+
 def hk_step(opinions, bounds) -> np.ndarray:
     """One bounded-confidence update: each agent averages its confidence set."""
     x = as_opinions(opinions, max_ndim=1)
-    eps = _confidence_bounds(bounds, x)
-    return average(x, np.abs(x - x[:, None]) <= eps[:, None], 0.0)
+    return average(x, _confidence_sets(x, _confidence_bounds(bounds, x)), 0.0)
 
 
 def _state(values: np.ndarray, previous: StepResult | None, term_set: LinguisticTermSet,
@@ -106,7 +110,8 @@ def hk_run(
     net = complete_network(x.size)
 
     def advance(state: StepResult) -> StepResult:
-        snapped = term_set.values[nearest_terms(term_set, hk_step(state.values, eps))]
+        listens = _confidence_sets(state.values, eps)
+        snapped = term_set.values[average_terms(state.values, listens, 0.0, term_set)]
         return _state(snapped, state, term_set, net)
 
     return iterate(_state(x, None, term_set, net), advance, t_max, tol, d_max)

@@ -32,11 +32,15 @@ class StepCounters:
     neighbor filtering, i.e. the size (true entries) of the adjacency mask
     the filter reads: at most N*(N-1) per step. ``rewire_visits`` counts
     unordered pairs examined during rewiring (exactly N*(N-1)/2 per step).
-    Each stays below N^2 per step.
+    Each stays below N^2 per step. ``mapback_rechecks`` counts the agents
+    whose term :func:`average_terms` could not certify from its float
+    average and so re-averaged the scalar way: those near a term midpoint,
+    including every exact tie.
     """
 
     filter_visits: int = 0
     rewire_visits: int = 0
+    mapback_rechecks: int = 0
 
 
 @dataclass(frozen=True)
@@ -166,12 +170,84 @@ def update_value(current: float, accepted, opinions: np.ndarray, inertia: float)
     return float(inertia * current + (1.0 - inertia) * mean)
 
 
+def _average_rows(opinions: np.ndarray, listens: np.ndarray, inertia: float,
+                  rows: np.ndarray) -> np.ndarray:
+    """:func:`average` of the given agents only, in the order given."""
+    averaged = opinions[rows]
+    for r, i in enumerate(rows.tolist()):
+        if listens[i].any():
+            averaged[r] = update_value(opinions[i], np.flatnonzero(listens[i]), opinions, inertia)
+    return averaged
+
+
 def average(opinions: np.ndarray, listens: np.ndarray, inertia: float) -> np.ndarray:
     """:func:`update_value` for each agent over the agents marked in its row."""
-    averaged = opinions.copy()
-    for i in np.flatnonzero(listens.any(axis=1)):
-        averaged[i] = update_value(opinions[i], np.flatnonzero(listens[i]), opinions, inertia)
-    return averaged
+    return _average_rows(opinions, listens, inertia, np.arange(opinions.size))
+
+
+EPS = np.finfo(float).eps
+
+
+def average_terms(
+    opinions: np.ndarray,
+    listens: np.ndarray,
+    inertia: float,
+    term_set: LinguisticTermSet,
+    counters: StepCounters | None = None,
+) -> np.ndarray:
+    """``nearest_terms(term_set, average(opinions, listens, inertia))``, bit for bit.
+
+    Each row block's sums come from one float product ``listens[rows] @
+    opinions``; each agent's term is then read off the term midpoints with
+    ``searchsorted``. That term is kept only when it is certain: the row's
+    interval ``a ± (2k + 16)·eps`` around the float average ``a`` of its
+    ``k`` accepted opinions must hold no midpoint. Every other agent is
+    re-averaged by :func:`update_value` and mapped by :func:`nearest_terms`,
+    so ties, errors and their order are those of the scalar rule.
+
+    Why the interval is enough, with u = eps/2, every opinion in [0, 1] and
+    ``inertia`` in [0, 1] (otherwise nothing is certified):
+
+    - A sum of ``k`` values in [0, 1], added in any order, is off by at most
+      (k - 1)·u times the sum. That covers numpy's pairwise sum in
+      :func:`update_value` and any BLAS order, since the products of a 0/1
+      row are exact and its zeros add exactly. Dividing by ``k`` adds u, so
+      both means are within k·u of the true mean (``update_value``'s
+      all-equal guard returns it exactly).
+    - The inertia blend adds four roundings of values at most 1, and its
+      ``mean == current`` guard moves the result by at most k·u, so the
+      scalar value and ``a`` each lie within (k + 4)·u of the exact blend
+      and so within (k + 4)·eps of each other.
+    - Float ``nearest_terms`` separates two adjacent terms within eps/2 of
+      their float midpoint: each distance rounds by at most eps/4, and so
+      does the midpoint. Rounding ``a ± slack`` costs eps/2 more. Terms
+      spaced wider than eps cannot tie with a non-adjacent term.
+
+    So a slack of (k + 5)·eps would do; (2k + 16)·eps more than doubles it,
+    which also covers the second-order terms. The outputs therefore do not
+    depend on the BLAS or on the block size.
+    """
+    n = opinions.size
+    values = term_set.values
+    terms = np.empty(n, dtype=np.intp)
+    recheck = np.arange(n)
+    if (0.0 <= inertia <= 1.0 and ((opinions >= 0.0) & (opinions <= 1.0)).all()
+            and (values[1:] - values[:-1] > EPS).all()):
+        counts = np.count_nonzero(listens, axis=1)
+        sums = np.empty(n)
+        for rows in row_blocks(n):
+            sums[rows] = listens[rows] @ opinions
+        means = np.divide(sums, counts, out=opinions.copy(), where=counts > 0)
+        estimate = inertia * opinions + (1.0 - inertia) * means
+        slack = (2 * counts + 16) * EPS
+        mids = (values[:-1] + values[1:]) / 2
+        terms = np.searchsorted(mids, estimate - slack)
+        recheck = np.flatnonzero(terms != np.searchsorted(mids, estimate + slack, side="right"))
+    if recheck.size:
+        terms[recheck] = nearest_terms(term_set, _average_rows(opinions, listens, inertia, recheck))
+    if counters is not None:
+        counters.mapback_rechecks += int(recheck.size)
+    return terms
 
 
 def step(
@@ -198,7 +274,7 @@ def step(
     # value becomes the carried state, so opinions always sit on the term
     # scale (matching the reported term-valued metrics).
     movers = accepted.any(axis=1)
-    new_terms = nearest_terms(term_set, average(opinions, accepted, inertia))
+    new_terms = average_terms(opinions, accepted, inertia, term_set, counters)
     del accepted
     new_values = np.where(movers, term_set.values[new_terms], opinions)
     new_net = rewire(net, opinions, rewiring, rng, counters)

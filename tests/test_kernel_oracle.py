@@ -7,8 +7,11 @@ and a brute-force nearest-term scan. The batched ``step``, ``filter_neighbors``,
 them exactly:
 the same values, terms and adjacency, and the same number of uniform draws
 taken, which shows as the same next ``rng.random()`` on both generators.
+``average_terms`` must match ``nearest_terms`` of the scalar ``average``,
+errors included.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -31,6 +34,7 @@ from opiniondyn import (
     step,
     update_value,
 )
+from opiniondyn.dynamics import average, average_terms
 
 unit = st.floats(0, 1)
 probabilities = st.sampled_from([0.0, 0.5, 1.0])
@@ -217,3 +221,96 @@ def test_hk_step_matches_scalar_averaging(data, n):
                                       min_size=n, max_size=n)))
     expected = [update_value(x[i], hk_confidence_set(i, x, eps[i]), x, 0.0) for i in range(n)]
     assert hk_step(x, eps).tobytes() == np.array(expected).tobytes()
+
+
+# One agent whose 10 accepted neighbours hold these terms of build_term_set(3, 2)
+# averages to 15/28 on the ideal scale (sevenths and fourteenths), the midpoint
+# of terms 3 and 4. update_value's mean, 0.5357142857142857, maps to term 3;
+# a 0/1-row float product can round one ulp up, to 0.5357142857142858 and
+# term 4.
+TIE_TERMS = [2, 2, 5, 5, 1, 6, 3, 5, 4, 0]
+
+
+def tie_case(n):
+    """The tied agent last, its neighbours first, idle agents at term 3 between."""
+    term_set = build_term_set(3, 2.0)
+    opinions = np.full(n, term_set.values[3])
+    opinions[:10] = term_set.values[TIE_TERMS]
+    listens = np.zeros((n, n), dtype=bool)
+    listens[n - 1, :10] = True
+    return term_set, opinions, listens
+
+
+def test_average_terms_resolves_a_float_product_tie_to_the_smaller_term():
+    # the BLAS summation order depends on the row length and position, so
+    # several layouts give the product its chance to round past the midpoint
+    for n in (11, 12, 16, 20, 24):
+        term_set, opinions, listens = tie_case(n)
+        counters = StepCounters()
+        terms = average_terms(opinions, listens, 0.0, term_set, counters)
+        assert terms[-1] == 3
+        assert terms.tolist() == nearest_terms(term_set, average(opinions, listens, 0.0)).tolist()
+        assert counters.mapback_rechecks == 1
+
+
+def test_step_counts_mapback_rechecks():
+    thresholds = ThreeWayThresholds(1.0, 1.0, 1.0)   # every neighbour accepted
+    rewiring = RewiringParams(0.0, 1.0, 0.0, 0.0)
+    term_set, opinions, _ = tie_case(11)
+    opinions[10] = term_set.values[1]
+    star = network.network_from_edges(11, [(10, j) for j in range(10)])
+    counters = StepCounters()
+    result = step(opinions, star, term_set, thresholds, 0.0, rewiring,
+                  np.random.default_rng(0), counters)
+    assert result.terms.tolist() == [1] * 10 + [3]
+    assert counters.mapback_rechecks == 1
+    consensus = np.full(11, term_set.values[3])
+    counters = StepCounters()
+    step(consensus, network.complete_network(11), term_set, thresholds, 0.3, rewiring,
+         np.random.default_rng(0), counters)
+    assert counters.mapback_rechecks == 0
+
+
+# phi=200 at base 1.01 has cells under 1e-3 wide; base 2**52 puts adjacent
+# terms closer than eps, where no float term is certified.
+MAPBACK_TERM_SETS = [build_term_set(*args)
+                     for args in ((1, 2.0), (3, 2.0), (4, 1.5), (200, 1.01), (2, 2.0**52))]
+
+
+@st.composite
+def mapback_cases(draw):
+    term_set = draw(st.sampled_from(MAPBACK_TERM_SETS))
+    values, mids = term_set.values, (term_set.values[:-1] + term_set.values[1:]) / 2
+    near_mid = st.sampled_from(mids.tolist()).flatmap(lambda m: st.sampled_from(
+        [m, float(np.nextafter(m, 0.0)), float(np.nextafter(m, 1.0))]))
+    kinds = [st.sampled_from(values.tolist()), near_mid, unit]
+    if draw(st.integers(0, 3)) == 0:
+        kinds.append(st.sampled_from([-0.25, 1.25, math.nan]))
+    # a few distinct values, so that many rows accept equal opinions
+    palette = draw(st.lists(st.one_of(kinds), min_size=1, max_size=5))
+    # from n = 129 up, dense rows accept more than 128 opinions, where
+    # numpy's mean splits its pairwise sum
+    n = draw(st.one_of(st.sampled_from([*range(2, 13), 1]), st.integers(129, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    opinions = np.array(palette)[rng.integers(0, len(palette), n)]
+    listens = rng.random((n, n)) < draw(st.sampled_from([0.5, 0.2, 0.9, 1.0, 0.0]))
+    inertia = draw(st.one_of(inertias, st.sampled_from([1.0, 1.5, math.nan])))
+    rows_per_block = draw(st.integers(1, n))
+    block_pairs = draw(st.sampled_from([rows_per_block * n, network.BLOCK_PAIRS]))
+    return term_set, opinions, listens, inertia, block_pairs
+
+
+def outcome(call):
+    try:
+        return call().tolist()
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mapback_cases())
+def test_average_terms_matches_nearest_term_of_scalar_average(case):
+    term_set, opinions, listens, inertia, block_pairs = case
+    expected = outcome(lambda: nearest_terms(term_set, average(opinions, listens, inertia)))
+    with mock.patch.object(network, "BLOCK_PAIRS", block_pairs):
+        assert outcome(lambda: average_terms(opinions, listens, inertia, term_set)) == expected
