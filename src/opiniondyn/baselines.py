@@ -84,11 +84,11 @@ def hk_step(opinions, bounds) -> np.ndarray:
     return average(x, _confidence_sets(x, _confidence_bounds(bounds, x)), 0.0)
 
 
-def _state(values: np.ndarray, previous: StepResult | None, term_set: LinguisticTermSet,
+def _state(values: np.ndarray, terms: np.ndarray, previous: StepResult | None,
            net: SocialNetwork) -> StepResult:
-    """A baseline state: the values, their nearest-term view and the shared network."""
+    """A baseline state: the values, their term indices and the shared network."""
     change = np.nan if previous is None else delta_max(previous.values, values)
-    return StepResult(values, nearest_terms(term_set, values), net, change)
+    return StepResult(values, terms, net, change)
 
 
 def hk_run(
@@ -111,10 +111,10 @@ def hk_run(
 
     def advance(state: StepResult) -> StepResult:
         listens = _confidence_sets(state.values, eps)
-        snapped = term_set.values[average_terms(state.values, listens, 0.0, term_set)]
-        return _state(snapped, state, term_set, net)
+        terms = average_terms(state.values, listens, 0.0, term_set)
+        return _state(term_set.values[terms], terms, state, net)
 
-    return iterate(_state(x, None, term_set, net), advance, t_max, tol, d_max)
+    return iterate(_state(x, nearest_terms(term_set, x), None, net), advance, t_max, tol, d_max)
 
 
 def degroot_run(
@@ -135,11 +135,12 @@ def degroot_run(
     x = as_opinions(initial_values, max_ndim=1).copy()
     weights = degroot_weights(x, mode)  # rejects an unknown mode before any step
     net = complete_network(x.size)
-    first = _state(x, None, term_set, net)
+    first = _state(x, nearest_terms(term_set, x), None, net)
 
     def advance(state: StepResult) -> StepResult:
         live = not freeze_weights and state is not first
         step_weights = degroot_weights(state.values, mode) if live else weights
-        return _state(degroot_step(state.values, step_weights), state, term_set, net)
+        values = degroot_step(state.values, step_weights)
+        return _state(values, nearest_terms(term_set, values), state, net)
 
     return iterate(first, advance, t_max, tol, d_max)

@@ -15,11 +15,12 @@ from pathlib import Path
 from . import baselines, dynamics
 from .config import MODELS, ConfigError, SimulationConfig, check_setting, load_config
 from .dynamics import TrajectoryRecord
-from .metrics import cluster_count, default_cluster_tolerance, trajectory_metrics
+from .metrics import default_cluster_tolerance, trajectory_metrics
 from .outputs import (
     METRICS_FILE,
     fmt_float,
     read_opinions,
+    summarize,
     write_csv,
     write_manifest,
     write_metrics,
@@ -88,15 +89,10 @@ def cmd_run(config: SimulationConfig, outdir: Path) -> Path:
 
 
 def _summary_row(label: str | int, record: TrajectoryRecord, tolerance: float) -> list:
-    return [
-        label,
-        record.converged,
-        record.iterations,
-        fmt_float(record.variance[-1]),
-        fmt_float(record.opinion_range[-1]),
-        fmt_float(record.consensus[-1]),
-        cluster_count(record.final_values, tolerance),
-    ]
+    summary = summarize(record, tolerance)
+    final = summary["final"]
+    return [label, summary["converged"], summary["iterations"], fmt_float(final["variance"]),
+            fmt_float(final["range"]), fmt_float(final["c_aad"]), final["cluster_count"]]
 
 
 def cmd_compare(config: SimulationConfig, model_specs: list[str], outdir: Path) -> Path:
@@ -174,23 +170,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Linguistic three-way-decision opinion dynamics simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--config", required=True, help="JSON config file")
+    io.add_argument("--out", required=True, help="output directory")
 
-    run_p = sub.add_parser("run", help="run one model from a config file")
-    run_p.add_argument("--config", required=True, help="JSON config file")
-    run_p.add_argument("--out", required=True, help="output directory")
+    run_p = sub.add_parser("run", parents=[io], help="run one model from a config file")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
-    cmp_p = sub.add_parser("compare", help="run several models from the same initial opinions")
-    cmp_p.add_argument("--config", required=True)
-    cmp_p.add_argument("--out", required=True)
+    cmp_p = sub.add_parser("compare", parents=[io],
+                           help="run several models from the same initial opinions")
     cmp_p.add_argument("--seed", type=int, default=None)
     cmp_p.add_argument("--models", required=True,
                        help="comma-separated model list, e.g. "
                             "'threeway,degroot-uniform,hk-homogeneous:0.25'")
 
-    sweep_p = sub.add_parser("sweep", help="run one config over a seed range")
-    sweep_p.add_argument("--config", required=True)
-    sweep_p.add_argument("--out", required=True)
+    sweep_p = sub.add_parser("sweep", parents=[io], help="run one config over a seed range")
     sweep_p.add_argument("--seeds", required=True, help="inclusive range 'start..end'")
 
     met_p = sub.add_parser("metrics", help="recompute metrics from an opinions CSV")

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .network import row_blocks
+
 
 @dataclass(frozen=True)
 class LinguisticTermSet:
@@ -85,13 +87,19 @@ def nearest_terms(term_set: LinguisticTermSet, values) -> np.ndarray:
     """Index of the term closest to each value, for an array of any shape.
 
     Exact ties go to the smaller index (argmin returns the first minimum).
-    Every value must lie in [0, 1]; NaN is rejected too.
+    Every value must lie in [0, 1]; NaN is rejected too. Distances are taken
+    one block of values at a time, about BLOCK_PAIRS per block, so memory
+    stays flat however many terms there are.
     """
     x = np.asarray(values, dtype=float)
     inside = (x >= 0.0) & (x <= 1.0)
     if not np.all(inside):
         raise ValueError(f"value {float(x[~inside].flat[0])!r} outside [0, 1]")
-    return np.abs(x[..., None] - term_set.values).argmin(axis=-1)
+    flat = x.ravel()
+    index = np.empty(flat.size, dtype=np.intp)
+    for rows in row_blocks(flat.size, term_set.size):
+        index[rows] = np.abs(flat[rows, None] - term_set.values).argmin(axis=-1)
+    return index.reshape(x.shape)
 
 
 def nearest_term(term_set: LinguisticTermSet, value: float) -> int:

@@ -143,9 +143,10 @@ def stats(net: SocialNetwork) -> NetworkStats:
 BLOCK_PAIRS = 1 << 16
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Consecutive row slices covering ``range(n)``, about BLOCK_PAIRS pairs each."""
-    rows = max(1, BLOCK_PAIRS // n)
+def row_blocks(n: int, width: int | None = None) -> list[slice]:
+    """Consecutive row slices covering ``range(n)``, about BLOCK_PAIRS pairs
+    each: BLOCK_PAIRS entries of rows ``width`` long, n by default."""
+    rows = max(1, BLOCK_PAIRS // (n if width is None else width))
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
@@ -262,7 +263,10 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
         parts = stripped.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'i j', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return edges
 
 

@@ -56,11 +56,15 @@ def read_opinions(path: Path) -> tuple[list[int], np.ndarray]:
                 raise RuntimeError(f"{path}: expected columns "
                                    f"{','.join(required)}[,{OPINIONS_COLUMNS[3]}]")
             for row in reader:
-                k, agent = int(row["iteration"]), int(row["agent"])
+                try:
+                    k, agent = int(row["iteration"]), int(row["agent"])
+                    value = float(row["value"])
+                except (TypeError, ValueError) as exc:  # TypeError: a short row
+                    raise RuntimeError(f"{path}: line {reader.line_num}: {exc}") from None
                 opinions = per_iteration.setdefault(k, {})
                 if agent in opinions:
                     raise RuntimeError(f"{path}: iteration {k} lists agent {agent} twice")
-                opinions[agent] = float(row["value"])
+                opinions[agent] = value
     except OSError as exc:
         raise RuntimeError(f"cannot read {path}: {exc}") from exc
     if not per_iteration:
@@ -91,7 +95,8 @@ def write_metrics(path: Path, iterations, variance, opinion_range, consensus, de
 
 
 def summarize(record: TrajectoryRecord, cluster_tolerance: float) -> dict:
-    """Seed-free digest of a finished run (final-state metrics)."""
+    """Seed-free digest of a finished run (final-state metrics); the rows of
+    comparison.csv and sweep.csv are read off it too."""
     final_dm = record.delta_max[-1]
     return {
         "converged": record.converged,

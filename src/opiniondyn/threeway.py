@@ -86,14 +86,11 @@ def classify_neighbor(
 
     Deterministic outside the hesitation zone; inside it, consumes exactly
     one uniform draw and accepts when it falls below the decayed probability.
+    A NaN distance lies in neither outright region, so it draws and rejects.
     """
-    if distance < 0.0:
-        raise ValueError(f"distance must be >= 0, got {distance!r}")
-    if distance <= thresholds.alpha:
-        return True
-    if distance >= thresholds.beta:
-        return False
-    p = math.exp(-thresholds.decay * (distance - thresholds.alpha))
+    p = acceptance_probability(distance, thresholds)
+    if distance <= thresholds.alpha or distance >= thresholds.beta:
+        return p == 1.0
     return rng.random() < p
 
 

@@ -398,3 +398,17 @@ def test_module_entry_point_runs_and_reports_config_errors(tmp_path):
     assert opiniondyn({"n_agents": 2, "initial_opinions": [0, 6]}, tmp_path / "ok") == 0
     assert (tmp_path / "ok" / "manifest.json").exists()
     assert opiniondyn({"n_agents": 2, "initial_opinions": [0, 9]}, tmp_path / "bad") == 1
+
+
+@pytest.mark.parametrize("rows,line", [
+    ("0,0,0.5\n0,1,x\n", 3),  # a value that is not a number
+    ("0,0,0.5\nx,1,0.5\n", 3),  # an iteration that is not an integer
+    ("0,0,0.5\n0,1\n", 3),  # a row without its value
+], ids=["value", "iteration", "short-row"])
+def test_metrics_names_the_file_and_line_of_a_bad_number(tmp_path, capsys, rows, line):
+    opinions = tmp_path / "opinions.csv"
+    opinions.write_text("iteration,agent,value\n" + rows)
+    out = tmp_path / "met"
+    assert cli.main(["metrics", str(opinions), "--out", str(out)]) == 2
+    assert f"{opinions}: line {line}: " in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +8,14 @@ from hypothesis import given, strategies as st
 from opiniondyn import (
     build_term_set,
     nearest_term,
+    nearest_terms,
     negate_term,
     term_max,
     term_min,
     term_value,
 )
+from opiniondyn import network
+from opiniondyn.linguistic import MAX_PHI
 
 
 def exact_scale(phi: int, base: Fraction) -> list[Fraction]:
@@ -129,3 +133,32 @@ def test_construction_is_pure():
     a = build_term_set(4, 2.5)
     b = build_term_set(4, 2.5)
     assert np.array_equal(a.values, b.values)
+
+
+def test_nearest_terms_works_in_blocks_of_values(monkeypatch):
+    # At the largest phi, 500 values against 20,001 terms would take 80 MB
+    # for each whole N x T temporary; blocks keep the peak near BLOCK_PAIRS.
+    term_set = build_term_set(MAX_PHI, 1.001)
+    values = np.random.default_rng(3).random(500)
+    tracemalloc.start()
+    try:
+        blocked = nearest_terms(term_set, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert blocked.tolist() == [int(np.abs(term_set.values - v).argmin()) for v in values]
+
+    # Blocks of 1 and of 2 values give each value's scalar scan, in any shape.
+    small = build_term_set(3, 2.0)
+    grid = np.linspace(0.0, 1.0, 15).reshape(3, 5)
+    expected = [[min(range(small.size), key=lambda k: abs(small.values[k] - v)) for v in row]
+                for row in grid.tolist()]
+    for block_pairs in (1, 2 * small.size):
+        monkeypatch.setattr(network, "BLOCK_PAIRS", block_pairs)
+        result = nearest_terms(small, grid)
+        assert result.dtype == np.intp and result.tolist() == expected
+        assert nearest_terms(small, 0.4).shape == ()
+        assert nearest_terms(small, []).shape == (0,)
+        with pytest.raises(ValueError, match="outside"):
+            nearest_terms(small, [0.5, 1.5])

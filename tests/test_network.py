@@ -234,3 +234,8 @@ def test_edge_writer_matches_per_pair_reference(net):
         save_edge_list(net, path)
         assert path.read_bytes() == text.encode()
         assert np.array_equal(load_network(path, net.size).adjacency, net.adjacency)
+
+
+def test_edge_list_parser_names_the_line_of_a_bad_number():
+    with pytest.raises(ValueError, match=r"^line 2: invalid literal for int\(\)"):
+        parse_edge_list("0 1\n1 x\n")

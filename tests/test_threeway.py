@@ -12,6 +12,8 @@ from opiniondyn import (
     bayes_region,
     classify_neighbor,
     expected_losses,
+    filter_neighbors,
+    network_from_edges,
 )
 
 THRESH = ThreeWayThresholds(alpha=0.3, beta=0.6, decay=10.0)
@@ -156,3 +158,23 @@ def test_nan_decay_and_losses_rejected():
         losses[k] = math.nan
         with pytest.raises(ValueError):
             LossMatrix(*losses)
+
+
+@pytest.mark.parametrize("distance,accepts,draws", [
+    (math.nan, False, 1),  # in neither outright region: one draw, then reject
+    (0.4, True, 1),  # inside the zone with decay 0: one draw, always below 1
+    (0.2, True, 0),
+    (0.7, False, 0),
+])
+def test_neighbor_rule_takes_one_draw_exactly_in_the_hesitation_zone(distance, accepts, draws):
+    thresholds = ThreeWayThresholds(alpha=0.3, beta=0.6, decay=0.0)
+    rng, batched, twin = (np.random.default_rng(11) for _ in range(3))
+    twin.random(draws)
+    following = twin.random()
+    assert classify_neighbor(distance, thresholds, rng) is accepts
+    assert rng.random() == following
+    # The batched filter takes the same draws for a pair at that distance.
+    pair = network_from_edges(2, [(0, 1)])
+    accepted = filter_neighbors(0, np.array([0.0, distance]), pair, thresholds, batched)
+    assert accepted.tolist() == ([1] if accepts else [])
+    assert batched.random() == following
