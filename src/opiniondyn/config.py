@@ -309,8 +309,8 @@ def load_config(path) -> SimulationConfig:
     """Load and validate a JSON config file."""
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(p), f"cannot read config file: {exc}") from exc
     try:
         raw = json.loads(text)

@@ -66,7 +66,6 @@ class TrajectoryRecord:
     delta_max: np.ndarray     # NaN at iteration 0 (no preceding state)
     converged: bool
     iterations: int
-    d_max: float
 
     @property
     def n_agents(self) -> int:
@@ -78,7 +77,7 @@ class TrajectoryRecord:
 
     @classmethod
     def from_states(cls, values_hist, terms_hist, networks, converged: bool,
-                    d_max: float = SimulationConfig.d_max) -> "TrajectoryRecord":
+                    d_max: float) -> "TrajectoryRecord":
         values = np.asarray(values_hist, dtype=float)
         var, rng_, cons, dmax = metrics_mod.trajectory_metrics(values, d_max)
         degrees = np.array([net.degrees() for net in networks])
@@ -86,7 +85,7 @@ class TrajectoryRecord:
             values=values, terms=np.asarray(terms_hist, dtype=int), networks=list(networks),
             variance=var, opinion_range=rng_, consensus=cons,
             avg_degree=degrees.mean(axis=1), isolated=(degrees == 0).sum(axis=1), delta_max=dmax,
-            converged=converged, iterations=values.shape[0] - 1, d_max=d_max,
+            converged=converged, iterations=values.shape[0] - 1,
         )
 
 
@@ -96,7 +95,6 @@ def _filter_links(
     links: np.ndarray,
     thresholds: ThreeWayThresholds,
     rng: np.random.Generator,
-    counters: StepCounters | None,
 ) -> np.ndarray:
     """Three-way filter over a block of link rows; returns the accepted links.
 
@@ -106,8 +104,6 @@ def _filter_links(
     row-major order. Acceptance probabilities come from ``math.exp`` of the
     same exponents, so every comparison matches the scalar rule bit for bit.
     """
-    if counters is not None:
-        counters.filter_visits += int(np.count_nonzero(links))
     dist = np.subtract.outer(own, opinions)
     np.abs(dist, out=dist)
     accepted = dist <= thresholds.alpha
@@ -141,8 +137,9 @@ def filter_neighbors(
     """
     opinions = np.asarray(opinions, dtype=float)
     row = slice(agent, agent + 1)
-    accepted = _filter_links(opinions[row], opinions, net.adjacency[row],
-                             thresholds, rng, counters)
+    if counters is not None:
+        counters.filter_visits += int(np.count_nonzero(net.adjacency[row]))
+    accepted = _filter_links(opinions[row], opinions, net.adjacency[row], thresholds, rng)
     return np.flatnonzero(accepted[0])
 
 
@@ -218,10 +215,11 @@ def average_terms(
       ``mean == current`` guard moves the result by at most k·u, so the
       scalar value and ``a`` each lie within (k + 4)·u of the exact blend
       and so within (k + 4)·eps of each other.
-    - Float ``nearest_terms`` separates two adjacent terms within eps/2 of
-      their float midpoint: each distance rounds by at most eps/4, and so
-      does the midpoint. Rounding ``a ± slack`` costs eps/2 more. Terms
-      spaced wider than eps cannot tie with a non-adjacent term.
+    - A certified interval lies at least slack/2 >= 8·eps inside two adjacent
+      float midpoints, and so does the scalar value. Midpoints and distances
+      round by at most eps/4, so the two-term rule of :func:`nearest_terms`
+      maps that value to the term between them whatever the spacing. Between
+      terms closer than eps no such interval fits; rows there are re-averaged.
 
     So a slack of (k + 5)·eps would do; (2k + 16)·eps more than doubles it,
     which also covers the second-order terms. The outputs therefore do not
@@ -231,8 +229,7 @@ def average_terms(
     values = term_set.values
     terms = np.empty(n, dtype=np.intp)
     recheck = np.arange(n)
-    if (0.0 <= inertia <= 1.0 and ((opinions >= 0.0) & (opinions <= 1.0)).all()
-            and (values[1:] - values[:-1] > EPS).all()):
+    if 0.0 <= inertia <= 1.0 and ((opinions >= 0.0) & (opinions <= 1.0)).all():
         counts = np.count_nonzero(listens, axis=1)
         sums = np.empty(n)
         for rows in row_blocks(n):
@@ -265,10 +262,13 @@ def step(
     opinions = np.asarray(opinions, dtype=float)
     if opinions.shape != (n,):
         raise ValueError(f"expected {n} opinions, got shape {opinions.shape}")
+    if counters is not None:
+        counters.filter_visits += int(np.count_nonzero(net.adjacency))
+        counters.rewire_visits += n * (n - 1) // 2
     accepted = np.empty((n, n), dtype=bool)
     for rows in row_blocks(n):
         accepted[rows] = _filter_links(opinions[rows], opinions, net.adjacency[rows],
-                                       thresholds, rng, counters)
+                                       thresholds, rng)
     # Agents with no accepted neighbor keep their opinion literally; the
     # others average, then map back to the nearest linguistic term, whose
     # value becomes the carried state, so opinions always sit on the term
@@ -277,7 +277,7 @@ def step(
     new_terms = average_terms(opinions, accepted, inertia, term_set, counters)
     del accepted
     new_values = np.where(movers, term_set.values[new_terms], opinions)
-    new_net = rewire(net, opinions, rewiring, rng, counters)
+    new_net = rewire(net, opinions, rewiring, rng)
     return StepResult(
         values=new_values,
         terms=new_terms,

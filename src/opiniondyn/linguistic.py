@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import row_blocks
-
 
 @dataclass(frozen=True)
 class LinguisticTermSet:
@@ -86,20 +84,23 @@ def term_value(term_set: LinguisticTermSet, index: int) -> float:
 def nearest_terms(term_set: LinguisticTermSet, values) -> np.ndarray:
     """Index of the term closest to each value, for an array of any shape.
 
-    Exact ties go to the smaller index (argmin returns the first minimum).
-    Every value must lie in [0, 1]; NaN is rejected too. Distances are taken
-    one block of values at a time, about BLOCK_PAIRS per block, so memory
-    stays flat however many terms there are.
+    Exact ties go to the smaller index: the first minimum, as a scan of all
+    terms finds it. Every value must lie in [0, 1]; NaN is rejected too.
     """
     x = np.asarray(values, dtype=float)
     inside = (x >= 0.0) & (x <= 1.0)
     if not np.all(inside):
         raise ValueError(f"value {float(x[~inside].flat[0])!r} outside [0, 1]")
-    flat = x.ravel()
-    index = np.empty(flat.size, dtype=np.intp)
-    for rows in row_blocks(flat.size, term_set.size):
-        index[rows] = np.abs(flat[rows, None] - term_set.values).argmin(axis=-1)
-    return index.reshape(x.shape)
+    # A rounded |x - v| never shrinks as v moves away from x, so the first
+    # minimum is the last term below x or the first at or above it, unless a
+    # term further down ties with the one below x. That needs two terms within
+    # about an ulp below x/2, which build_term_set never makes: 0.5 is a term,
+    # so for x > 0.5 the term below x is >= x/2 and its distance is exact, and
+    # below 0.25 the gap after term j is at least base^-j/(2*phi) > 1/(4*phi).
+    v = term_set.values
+    below = np.searchsorted(v[1:-1], x)  # the last term below x; 0 at x = 0
+    # v[below] <= x <= v[below + 1], so both differences are the distances
+    return np.where(v[1:][below] - x < x - v[below], below + 1, below)
 
 
 def nearest_term(term_set: LinguisticTermSet, value: float) -> int:

@@ -143,10 +143,10 @@ def stats(net: SocialNetwork) -> NetworkStats:
 BLOCK_PAIRS = 1 << 16
 
 
-def row_blocks(n: int, width: int | None = None) -> list[slice]:
+def row_blocks(n: int) -> list[slice]:
     """Consecutive row slices covering ``range(n)``, about BLOCK_PAIRS pairs
-    each: BLOCK_PAIRS entries of rows ``width`` long, n by default."""
-    rows = max(1, BLOCK_PAIRS // (n if width is None else width))
+    of an n-by-n matrix each."""
+    rows = max(1, BLOCK_PAIRS // n)
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
@@ -182,7 +182,6 @@ def rewire(
     opinions,
     params: RewiringParams,
     rng: np.random.Generator,
-    counters=None,
 ) -> SocialNetwork:
     """One rewiring pass driven by pairwise opinion distances.
 
@@ -203,8 +202,6 @@ def rewire(
     old = net.adjacency
     new = old.copy()
     flat = new.ravel()  # a view: the copy is C-contiguous
-    if counters is not None:
-        counters.rewire_visits += n * (n - 1) // 2
     # Eligibility is a pure function of the old state, so each block of rows
     # takes the draws of all its eligible pairs at once. A block covers only
     # the columns right of its first row's diagonal, and np.flatnonzero walks

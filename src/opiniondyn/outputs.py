@@ -46,11 +46,12 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 def read_opinions(path: Path) -> tuple[list[int], np.ndarray]:
     """The iteration labels of an opinions CSV, ascending, and one row per
     iteration of its opinions in agent order. Every iteration must list the
-    same agents, once each. The term_index column is optional."""
+    same agents, once each, with values in [0, 1]. The term_index column is
+    optional."""
     required = OPINIONS_COLUMNS[:3]
     per_iteration: dict[int, dict[int, float]] = {}
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
                 raise RuntimeError(f"{path}: expected columns "
@@ -61,11 +62,14 @@ def read_opinions(path: Path) -> tuple[list[int], np.ndarray]:
                     value = float(row["value"])
                 except (TypeError, ValueError) as exc:  # TypeError: a short row
                     raise RuntimeError(f"{path}: line {reader.line_num}: {exc}") from None
+                if not 0.0 <= value <= 1.0:  # NaN too
+                    raise RuntimeError(f"{path}: line {reader.line_num}: "
+                                       f"value {value!r} outside [0, 1]")
                 opinions = per_iteration.setdefault(k, {})
                 if agent in opinions:
                     raise RuntimeError(f"{path}: iteration {k} lists agent {agent} twice")
                 opinions[agent] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RuntimeError(f"cannot read {path}: {exc}") from exc
     if not per_iteration:
         raise RuntimeError(f"{path}: no data rows")

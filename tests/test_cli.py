@@ -412,3 +412,30 @@ def test_metrics_names_the_file_and_line_of_a_bad_number(tmp_path, capsys, rows,
     assert cli.main(["metrics", str(opinions), "--out", str(out)]) == 2
     assert f"{opinions}: line {line}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-0.5"])
+def test_metrics_rejects_opinions_outside_the_unit_interval(tmp_path, capsys, text):
+    opinions = tmp_path / "opinions.csv"
+    opinions.write_text(f"iteration,agent,value\n0,0,0.5\n0,1,{text}\n")
+    out = tmp_path / "met"
+    assert cli.main(["metrics", str(opinions), "--out", str(out)]) == 2
+    assert f"{opinions}: line 3: value {text} outside [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'{"n_agents": 2\xff}')
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert f"'{cfg}'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_opinions_csv_that_is_not_utf8_is_named(tmp_path, capsys):
+    opinions = tmp_path / "opinions.csv"
+    opinions.write_bytes(b"iteration,agent,value\n0,0,0.5\n0,1,\xff\n")
+    out = tmp_path / "met"
+    assert cli.main(["metrics", str(opinions), "--out", str(out)]) == 2
+    assert str(opinions) in capsys.readouterr().err
+    assert not out.exists()

@@ -271,6 +271,19 @@ def test_step_counts_mapback_rechecks():
     assert counters.mapback_rechecks == 0
 
 
+def test_average_terms_certifies_rows_away_from_terms_closer_than_eps():
+    # Terms 1, 2 and 3 lie within an ulp of 0.5, so only the agent there is
+    # re-averaged; the rows at 0 and 1 are certified.
+    term_set = build_term_set(2, 2.0**52)
+    opinions = np.array([0.0, 0.0, 0.5, 1.0])
+    listens = np.zeros((4, 4), dtype=bool)
+    listens[0, 1] = True
+    counters = StepCounters()
+    terms = average_terms(opinions, listens, 0.0, term_set, counters)
+    assert terms.tolist() == nearest_terms(term_set, average(opinions, listens, 0.0)).tolist()
+    assert counters.mapback_rechecks == 1
+
+
 # phi=200 at base 1.01 has cells under 1e-3 wide; base 2**52 puts adjacent
 # terms closer than eps, where no float term is certified.
 MAPBACK_TERM_SETS = [build_term_set(*args)

@@ -162,3 +162,20 @@ def test_nearest_terms_works_in_blocks_of_values(monkeypatch):
         assert nearest_terms(small, []).shape == (0,)
         with pytest.raises(ValueError, match="outside"):
             nearest_terms(small, [0.5, 1.5])
+
+
+@pytest.mark.parametrize("phi,base", [(2, 2.0**52), (3, 2.0**26), (3, 1e6), (200, 1.01),
+                                      (MAX_PHI, 1.001)])
+def test_nearest_terms_equals_a_first_minimum_scan(phi, base):
+    # Scales whose terms crowd the midpoint to within an ulp, and the largest
+    # phi, where a sample of the terms stands in for all of them.
+    term_set = build_term_set(phi, base)
+    v = term_set.values
+    picked = np.unique(np.concatenate([np.arange(min(v.size, 401)), np.arange(v.size)[-200:],
+                                       np.random.default_rng(phi).integers(0, v.size, 600)]))
+    terms, mids = v[picked], ((v[:-1] + v[1:]) / 2)[picked[picked < v.size - 1]]
+    values = np.concatenate([terms, mids, np.nextafter(mids, 0.0), np.nextafter(mids, 1.0),
+                             np.minimum(2 * terms, 1.0), terms / 2, [0.0, 1.0]])
+    # argmin returns the first minimum of the rounded distances, as a scan does
+    expected = [int(np.abs(v - x).argmin()) for x in values.tolist()]
+    assert nearest_terms(term_set, values).tolist() == expected
