@@ -116,8 +116,9 @@ def _filter_links(
     drawn = np.flatnonzero(hesitant)
     exponents = -thresholds.decay * (dist.ravel()[drawn] - thresholds.alpha)
     del dist
-    probs = np.array([math.exp(e) for e in exponents.tolist()])
-    accepted.ravel()[drawn[rng.random(drawn.size) < probs]] = True
+    probs = np.fromiter(map(math.exp, exponents.tolist()), float, drawn.size)
+    # Hesitant links are not yet accepted, so each outcome lands in place.
+    accepted.ravel()[drawn] = rng.random(drawn.size) < probs
     return accepted
 
 

@@ -47,6 +47,7 @@ def build_term_set(phi: int, base: float) -> LinguisticTermSet:
     """
     if not isinstance(phi, (int, np.integer)) or not 1 <= phi <= MAX_PHI:
         raise ValueError(f"phi must be an integer in [1, {MAX_PHI}], got {phi!r}")
+    phi = int(phi)  # a numpy integer would make base**phi overflow to inf, not raise
     if not base > 1.0:
         # base = 1 collapses the denominator 2*(base^phi - 1) to zero
         raise ValueError(f"base must be > 1, got {base!r}")
@@ -67,7 +68,7 @@ def build_term_set(phi: int, base: float) -> LinguisticTermSet:
     if not np.all(np.diff(values) > 0.0):
         raise ValueError(f"scale values are not strictly increasing for phi={phi}, base={base}")
     values.setflags(write=False)
-    return LinguisticTermSet(phi=int(phi), base=base, values=values)
+    return LinguisticTermSet(phi=phi, base=base, values=values)
 
 
 def _check_index(term_set: LinguisticTermSet, index: int) -> int:

@@ -6,6 +6,7 @@ treat a network as an immutable snapshot; :func:`rewire` returns a new one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,11 +151,19 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
+@functools.lru_cache(maxsize=16)
+def _corner_keep(shape: tuple[int, int]) -> np.ndarray:
+    """Read-only mask of the entries (r, c) with c >= r, built once per shape."""
+    keep = ~np.tri(*shape, k=-1, dtype=bool)
+    keep.setflags(write=False)
+    return keep
+
+
 def _mask_below_diagonal(block: np.ndarray) -> None:
     """Clear the pairs (i, j) with j <= i in a block of rows i0, i0+1, ...
     whose columns start at j = i0 + 1. Only its leading corner holds them."""
     corner = block[:, :block.shape[0] - 1]
-    corner[np.tri(*corner.shape, k=-1, dtype=bool)] = False
+    corner &= _corner_keep(corner.shape)
 
 
 def random_network(n: int, edge_prob: float, rng: np.random.Generator) -> SocialNetwork:
@@ -201,11 +210,12 @@ def rewire(
 
     old = net.adjacency
     new = old.copy()
-    flat = new.ravel()  # a view: the copy is C-contiguous
     # Eligibility is a pure function of the old state, so each block of rows
     # takes the draws of all its eligible pairs at once. A block covers only
     # the columns right of its first row's diagonal, and np.flatnonzero walks
-    # it row-major, so the draws stay in lexicographic pair order.
+    # it row-major, so the draws stay in lexicographic pair order. An eligible
+    # pair is either unlinked and addable or linked and cuttable, so a
+    # successful draw always flips it: the outcomes are toggles.
     for rows in row_blocks(n):
         first = rows.start + 1
         dist = np.subtract.outer(opinions[rows], opinions[first:])
@@ -219,14 +229,11 @@ def rewire(
         eligible |= addable
         _mask_below_diagonal(eligible)
         pairs = np.flatnonzero(eligible)
-        add = addable.ravel()[pairs]
-        flip = rng.random(pairs.size) < np.where(add, params.p_add, params.p_cut)
-        ii, jj = np.divmod(pairs[flip], eligible.shape[1])
-        ii += rows.start
-        jj += first
-        add = add[flip]
-        flat[ii * n + jj] = add
-        flat[jj * n + ii] = add
+        flips = eligible  # True only at pairs, each overwritten by its outcome
+        flips.ravel()[pairs] = rng.random(pairs.size) < np.where(
+            addable.ravel()[pairs], params.p_add, params.p_cut)
+        new[rows, first:] ^= flips
+        new[first:, rows] ^= flips.T
     return SocialNetwork._built(new)
 
 

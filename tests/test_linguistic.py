@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +65,17 @@ def test_build_rejects_degenerate_parameters():
         build_term_set(3, 1.0)
     with pytest.raises(ValueError):
         build_term_set(3, 0.5)
+
+
+def test_build_reports_overflow_for_a_numpy_integer_phi():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning must not fire
+        for phi in (5000, np.int64(5000)):
+            with pytest.raises(ValueError, match=r"base\*\*phi overflows a float"):
+                build_term_set(phi, 1e6)
+    term_set = build_term_set(np.int64(3), 2)
+    assert type(term_set.phi) is int
+    assert term_set.values.tobytes() == build_term_set(3, 2).values.tobytes()
 
 
 def test_term_value(term_set):

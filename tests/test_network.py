@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from opiniondyn import (
     RewiringParams,
     SocialNetwork,
+    ThreeWayThresholds,
     centrality,
     complete_network,
     density,
@@ -17,7 +18,9 @@ from opiniondyn import (
     random_network,
     rewire,
     stats,
+    step,
 )
+from opiniondyn import network
 from opiniondyn.network import format_edge_list, load_network, parse_edge_list, save_edge_list
 
 STAR4 = network_from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -177,6 +180,29 @@ def test_rewire_idempotent_at_certainty(n, seed, edge_prob, bounds):
     once = rewire(start, opinions, params, rng)
     twice = rewire(once, opinions, params, rng)
     assert np.array_equal(once.adjacency, twice.adjacency)
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7, 64, network.BLOCK_PAIRS])
+def test_rewire_and_step_never_write_into_the_input_network(monkeypatch, term_set, block_pairs):
+    # Rewiring toggles pairs in place, so it must toggle a copy: the history
+    # keeps every input network as an immutable snapshot.
+    monkeypatch.setattr(network, "BLOCK_PAIRS", block_pairs)
+    rng = np.random.default_rng(11)
+    net = random_network(30, 0.3, rng)
+    before = net.adjacency.copy()
+    opinions = term_set.values[rng.integers(0, term_set.size, 30)]
+    params = RewiringParams(delta_add=0.3, delta_cut=0.3, p_add=0.7, p_cut=0.7)
+    rewired = rewire(net, opinions, params, rng)
+    stepped = step(opinions, net, term_set, ThreeWayThresholds(0.2, 0.5, 10.0), 0.0, params,
+                   rng).network
+    for out in (rewired, stepped):
+        assert not np.array_equal(out.adjacency, before)  # pairs were toggled
+        assert not np.shares_memory(out.adjacency, net.adjacency)
+    assert np.array_equal(net.adjacency, before)
+    keep = network._corner_keep((4, 3))
+    assert not keep.flags.writeable
+    with pytest.raises(ValueError):
+        keep[0, 0] = False
 
 
 def test_edge_list_round_trip(tmp_path):
