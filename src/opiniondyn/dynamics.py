@@ -11,13 +11,16 @@ ascending), then all rewiring draws (pairs in lexicographic order).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import metrics as metrics_mod
+from . import network
 from .config import SimulationConfig
 from .linguistic import LinguisticTermSet, nearest_terms
 from .network import RewiringParams, SocialNetwork, rewire, row_blocks
@@ -89,34 +92,107 @@ class TrajectoryRecord:
         )
 
 
-def _filter_links(
-    own: np.ndarray,
-    opinions: np.ndarray,
-    links: np.ndarray,
-    thresholds: ThreeWayThresholds,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Three-way filter over a block of link rows; returns the accepted links.
-
-    Row r holds the links of an agent with opinion ``own[r]``. Each link is
-    classified as :func:`~opiniondyn.threeway.classify_neighbor` would, with
-    one uniform draw per hesitation-zone link, all taken in one batch in
-    row-major order. Acceptance probabilities come from ``math.exp`` of the
-    same exponents, so every comparison matches the scalar rule bit for bit.
-    """
-    dist = np.subtract.outer(own, opinions)
-    np.abs(dist, out=dist)
+def _classes(dist: np.ndarray, thresholds: ThreeWayThresholds) -> tuple[np.ndarray, np.ndarray]:
+    """The accept and hesitate masks of the three-way rule over distances."""
     accepted = dist <= thresholds.alpha
     hesitant = dist >= thresholds.beta
     hesitant |= accepted
     np.logical_not(hesitant, out=hesitant)  # NaN distances hesitate, as in the scalar rule
+    return accepted, hesitant
+
+
+def _probabilities(dist: np.ndarray, thresholds: ThreeWayThresholds) -> np.ndarray:
+    """Acceptance probabilities of hesitation-zone distances, one ``math.exp`` each."""
+    exponents = -thresholds.decay * (dist - thresholds.alpha)
+    return np.fromiter(map(math.exp, exponents.tolist()), float, dist.size)
+
+
+class _PairTables(NamedTuple):
+    """The three-way rule for every pair of term values: row term a against
+    column term b, at the distance ``|values[a] - values[b]|``. ``probs`` is 0
+    outside the hesitation zone. All three are read-only."""
+
+    accept: np.ndarray
+    hesitate: np.ndarray
+    probs: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_tables(values: bytes, thresholds: ThreeWayThresholds) -> _PairTables:
+    """The tables of a scale, given as the bytes of its term values; a run, or
+    a sweep sharing its term set and thresholds, builds them once."""
+    v = np.frombuffer(values)
+    dist = np.subtract.outer(v, v)
+    np.abs(dist, out=dist)
+    accept, hesitate = _classes(dist, thresholds)
+    probs = np.zeros(dist.shape)
+    probs[hesitate] = _probabilities(dist[hesitate], thresholds)
+    for table in (accept, hesitate, probs):
+        table.setflags(write=False)
+    return _PairTables(accept, hesitate, probs)
+
+
+class _TermPairs(NamedTuple):
+    """One step's opinions as term indices, with the table rows of every agent
+    as a peer: ``accept[a, j]`` classifies agent j for an agent at term a."""
+
+    codes: np.ndarray
+    accept: np.ndarray
+    hesitate: np.ndarray
+    probs: np.ndarray
+
+
+def _term_pairs(opinions: np.ndarray, term_set: LinguisticTermSet,
+                thresholds: ThreeWayThresholds) -> _TermPairs | None:
+    """The lookup of a step whose opinions all hold the bits of a term value,
+    on a scale whose table of term pairs fits in one row block; else None."""
+    values = term_set.values
+    if values.size ** 2 > network.BLOCK_PAIRS:
+        return None
+    codes = values.searchsorted(opinions)
+    # NaN and values above the last term sort past it; clipped onto it, they differ
+    if values.take(codes, mode="clip").tobytes() != opinions.tobytes():
+        return None
+    tables = _pair_tables(values.tobytes(), thresholds)
+    return _TermPairs(codes, tables.accept.take(codes, axis=1),
+                      tables.hesitate.take(codes, axis=1), tables.probs)
+
+
+def _filter_links(
+    rows: slice,
+    opinions: np.ndarray,
+    links: np.ndarray,
+    thresholds: ThreeWayThresholds,
+    rng: np.random.Generator,
+    pairs: _TermPairs | None = None,
+) -> np.ndarray:
+    """Three-way filter over the link rows of the agents ``rows``; returns the
+    accepted links.
+
+    Each link is classified as :func:`~opiniondyn.threeway.classify_neighbor`
+    would, with one uniform draw per hesitation-zone link, all taken in one
+    batch in row-major order. Acceptance probabilities come from ``math.exp``
+    of the same exponents, so every comparison matches the scalar rule bit for
+    bit. With ``pairs``, the classes and probabilities are read from the term
+    tables, which hold those same floats for every pair of term values.
+    """
+    if pairs is None:
+        dist = np.subtract.outer(opinions[rows], opinions)
+        np.abs(dist, out=dist)
+        accepted, hesitant = _classes(dist, thresholds)
+    else:
+        own = pairs.codes[rows]
+        accepted = pairs.accept.take(own, axis=0)
+        hesitant = pairs.hesitate.take(own, axis=0)
     hesitant &= links
     accepted &= links
     # Flat indices into the fresh, C-contiguous blocks, in row-major order.
-    drawn = np.flatnonzero(hesitant)
-    exponents = -thresholds.decay * (dist.ravel()[drawn] - thresholds.alpha)
-    del dist
-    probs = np.fromiter(map(math.exp, exponents.tolist()), float, drawn.size)
+    drawn = hesitant.ravel().nonzero()[0]
+    if pairs is None:
+        probs = _probabilities(dist.ravel()[drawn], thresholds)
+    else:
+        row, col = np.divmod(drawn, opinions.size)
+        probs = pairs.probs[own[row], pairs.codes[col]]
     # Hesitant links are not yet accepted, so each outcome lands in place.
     accepted.ravel()[drawn] = rng.random(drawn.size) < probs
     return accepted
@@ -140,7 +216,7 @@ def filter_neighbors(
     row = slice(agent, agent + 1)
     if counters is not None:
         counters.filter_visits += int(np.count_nonzero(net.adjacency[row]))
-    accepted = _filter_links(opinions[row], opinions, net.adjacency[row], thresholds, rng)
+    accepted = _filter_links(row, opinions, net.adjacency[row], thresholds, rng)
     return np.flatnonzero(accepted[0])
 
 
@@ -227,18 +303,19 @@ def average_terms(
     depend on the BLAS or on the block size.
     """
     n = opinions.size
-    values = term_set.values
     terms = np.empty(n, dtype=np.intp)
     recheck = np.arange(n)
-    if 0.0 <= inertia <= 1.0 and ((opinions >= 0.0) & (opinions <= 1.0)).all():
+    # NaN fails the range test too; an empty state has nothing to certify
+    if 0.0 <= inertia <= 1.0 and n and opinions.min() >= 0.0 and opinions.max() <= 1.0:
         counts = np.count_nonzero(listens, axis=1)
         sums = np.empty(n)
         for rows in row_blocks(n):
             sums[rows] = listens[rows] @ opinions
         means = np.divide(sums, counts, out=opinions.copy(), where=counts > 0)
-        estimate = inertia * opinions + (1.0 - inertia) * means
+        # With no inertia the blend is the mean, up to the sign of a zero
+        estimate = means if inertia == 0.0 else inertia * opinions + (1.0 - inertia) * means
         slack = (2 * counts + 16) * EPS
-        mids = (values[:-1] + values[1:]) / 2
+        mids = term_set.midpoints
         terms = np.searchsorted(mids, estimate - slack)
         recheck = np.flatnonzero(terms != np.searchsorted(mids, estimate + slack, side="right"))
     if recheck.size:
@@ -266,10 +343,10 @@ def step(
     if counters is not None:
         counters.filter_visits += int(np.count_nonzero(net.adjacency))
         counters.rewire_visits += n * (n - 1) // 2
+    pairs = _term_pairs(opinions, term_set, thresholds)
     accepted = np.empty((n, n), dtype=bool)
     for rows in row_blocks(n):
-        accepted[rows] = _filter_links(opinions[rows], opinions, net.adjacency[rows],
-                                       thresholds, rng)
+        accepted[rows] = _filter_links(rows, opinions, net.adjacency[rows], thresholds, rng, pairs)
     # Agents with no accepted neighbor keep their opinion literally; the
     # others average, then map back to the nearest linguistic term, whose
     # value becomes the carried state, so opinions always sit on the term

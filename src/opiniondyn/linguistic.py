@@ -24,6 +24,8 @@ class LinguisticTermSet:
     phi: int
     base: float
     values: np.ndarray = field(repr=False)
+    # (values[t] + values[t + 1]) / 2 for each t: the rounding boundaries of mapback
+    midpoints: np.ndarray = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -67,8 +69,10 @@ def build_term_set(phi: int, base: float) -> LinguisticTermSet:
             values[j] = (peak + base ** (j - phi) - 2.0) / denom
     if not np.all(np.diff(values) > 0.0):
         raise ValueError(f"scale values are not strictly increasing for phi={phi}, base={base}")
+    midpoints = (values[:-1] + values[1:]) / 2
     values.setflags(write=False)
-    return LinguisticTermSet(phi=phi, base=base, values=values)
+    midpoints.setflags(write=False)
+    return LinguisticTermSet(phi=phi, base=base, values=values, midpoints=midpoints)
 
 
 def _check_index(term_set: LinguisticTermSet, index: int) -> int:

@@ -31,7 +31,11 @@ def _deviations(arr: np.ndarray) -> np.ndarray:
 
 def variance(opinions):
     """Population variance (divide by n, not n-1)."""
-    return _per_state(np.mean(_deviations(as_opinions(opinions)) ** 2, axis=-1))
+    return _variance(_deviations(as_opinions(opinions)))
+
+
+def _variance(deviations: np.ndarray):
+    return _per_state(np.mean(deviations ** 2, axis=-1))
 
 
 def opinion_range(opinions):
@@ -47,10 +51,13 @@ def consensus_index(opinions, d_max: float = 0.5):
     deviation for opinions in [0, 1] (half at each endpoint), so the index
     lands in [0, 1] with 1 meaning full agreement.
     """
+    return _consensus(_deviations(as_opinions(opinions)), d_max)
+
+
+def _consensus(deviations: np.ndarray, d_max: float):
     if not d_max > 0.0:
         raise ValueError(f"d_max must be > 0, got {d_max!r}")
-    mad = np.mean(np.abs(_deviations(as_opinions(opinions))), axis=-1)
-    return _per_state(1.0 - mad / d_max)
+    return _per_state(1.0 - np.mean(np.abs(deviations), axis=-1) / d_max)
 
 
 def cluster_count(opinions, tolerance: float) -> int:
@@ -79,10 +86,11 @@ def trajectory_metrics(states, d_max: float):
     """Variance, range, consensus index and delta_max of a history; delta_max
     compares a state with the one before, NaN for the first."""
     states = as_opinions(states)
+    deviations = _deviations(states)
     return (
-        variance(states),
+        _variance(deviations),
         opinion_range(states),
-        consensus_index(states, d_max),
+        _consensus(deviations, d_max),
         np.concatenate(([np.nan], delta_max(states[:-1], states[1:]))),
     )
 

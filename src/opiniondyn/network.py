@@ -144,11 +144,16 @@ def stats(net: SocialNetwork) -> NetworkStats:
 BLOCK_PAIRS = 1 << 16
 
 
-def row_blocks(n: int) -> list[slice]:
+def row_blocks(n: int) -> tuple[slice, ...]:
     """Consecutive row slices covering ``range(n)``, about BLOCK_PAIRS pairs
     of an n-by-n matrix each."""
-    rows = max(1, BLOCK_PAIRS // n)
-    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+    return _row_blocks(n, BLOCK_PAIRS)
+
+
+@functools.lru_cache(maxsize=64)
+def _row_blocks(n: int, block_pairs: int) -> tuple[slice, ...]:
+    rows = max(1, block_pairs // n)
+    return tuple(slice(start, min(start + rows, n)) for start in range(0, n, rows))
 
 
 @functools.lru_cache(maxsize=16)
@@ -205,7 +210,7 @@ def rewire(
     opinions = np.asarray(opinions, dtype=float)
     if opinions.shape != (n,):
         raise ValueError(f"expected {n} opinions, got shape {opinions.shape}")
-    if not np.all((opinions >= 0.0) & (opinions <= 1.0)):
+    if n and not (opinions.min() >= 0.0 and opinions.max() <= 1.0):  # NaN fails too
         raise ValueError("opinions must lie in [0, 1]")
 
     old = net.adjacency
@@ -228,7 +233,7 @@ def rewire(
         eligible &= linked
         eligible |= addable
         _mask_below_diagonal(eligible)
-        pairs = np.flatnonzero(eligible)
+        pairs = eligible.ravel().nonzero()[0]
         flips = eligible  # True only at pairs, each overwritten by its outcome
         flips.ravel()[pairs] = rng.random(pairs.size) < np.where(
             addable.ravel()[pairs], params.p_add, params.p_cut)

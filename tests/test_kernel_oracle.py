@@ -15,12 +15,14 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from opiniondyn import (
     RewiringParams,
     StepCounters,
     ThreeWayThresholds,
+    acceptance_probability,
     build_term_set,
     classify_neighbor,
     filter_neighbors,
@@ -34,7 +36,9 @@ from opiniondyn import (
     step,
     update_value,
 )
+from opiniondyn import dynamics
 from opiniondyn.dynamics import average, average_terms
+from opiniondyn.linguistic import MAX_PHI
 
 unit = st.floats(0, 1)
 probabilities = st.sampled_from([0.0, 0.5, 1.0])
@@ -182,6 +186,107 @@ def test_step_matches_scalar_loops(case):
     assert batched.random() == scalar.random()
     assert counters.filter_visits == visits
     assert counters.rewire_visits == n * (n - 1) // 2
+
+
+@st.composite
+def term_valued_cases(draw, phis=st.integers(1, 4), bases=st.sampled_from([1.01, 1.5, 2.0, 3.0])):
+    """Steps on opinions that all sit on the term scale, where the filter may
+    read its classes from the term-pair tables."""
+    term_set = build_term_set(draw(phis), draw(bases))
+    n = draw(st.integers(1, 12))
+    opinions = term_set.values[draw(st.lists(st.integers(0, term_set.size - 1),
+                                             min_size=n, max_size=n))]
+    # thresholds equal to a pair's distance test the boundaries of each class
+    distances = st.sampled_from(sorted({abs(a - b) for a in opinions for b in opinions}))
+    alpha, beta = sorted(draw(st.tuples(st.one_of(unit, distances), st.one_of(unit, distances))))
+    rewiring = RewiringParams(draw(unit), draw(unit), draw(probabilities), draw(probabilities))
+    return dict(
+        term_set=term_set, opinions=opinions,
+        thresholds=ThreeWayThresholds(alpha, beta, draw(st.floats(0, 30))),
+        inertia=draw(inertias), rewiring=rewiring, edge_prob=draw(edge_probs),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def check_table_path_matches_float_path(case):
+    term_set, opinions = case["term_set"], case["opinions"]
+    net = random_network(opinions.size, case["edge_prob"], np.random.default_rng(case["seed"]))
+    args = (term_set, case["thresholds"], case["inertia"], case["rewiring"])
+    table_pairs = max(network.BLOCK_PAIRS, term_set.size**2)
+    outcomes = []
+    for block_pairs, lookup in ((table_pairs, True), (term_set.size**2 - 1, False)):
+        rng = np.random.default_rng(case["seed"] + 1)
+        with mock.patch.object(network, "BLOCK_PAIRS", block_pairs):
+            assert (dynamics._term_pairs(opinions, term_set, case["thresholds"]) is None) != lookup
+            result = step(opinions, net, *args, rng)
+        outcomes.append((result.values.tobytes(), result.terms.tolist(),
+                         result.network.adjacency.tobytes(), rng.random()))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=term_valued_cases())
+def test_step_by_term_tables_matches_the_float_path(case):
+    check_table_path_matches_float_path(case)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=term_valued_cases(phis=st.just(200), bases=st.sampled_from([1.001, 1.01])))
+def test_step_by_term_tables_matches_the_float_path_over_the_default_bound(case):
+    # 401 terms make 160,801 pairs, more than one default block: the default
+    # takes the float path, and a raised BLOCK_PAIRS the table path.
+    assert case["term_set"].size ** 2 > network.BLOCK_PAIRS
+    check_table_path_matches_float_path(case)
+
+
+def test_term_tables_hold_the_scalar_rule_and_are_read_only():
+    term_set = build_term_set(3, 2.0)
+    thresholds = ThreeWayThresholds(0.1, 0.6, 3.0)
+    tables = dynamics._pair_tables(term_set.values.tobytes(), thresholds)
+    v = term_set.values.tolist()
+    for a in range(term_set.size):
+        for b in range(term_set.size):
+            d = abs(v[a] - v[b])
+            assert tables.accept[a, b] == (d <= thresholds.alpha)
+            assert tables.hesitate[a, b] == (thresholds.alpha < d < thresholds.beta)
+            expected = acceptance_probability(d, thresholds) if tables.hesitate[a, b] else 0.0
+            assert tables.probs[a, b] == expected
+    for table in tables:
+        assert table.shape == (term_set.size, term_set.size)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
+def test_term_table_cache_is_bounded():
+    values = build_term_set(2, 2.0).values.tobytes()
+    limit = dynamics._pair_tables.cache_info().maxsize
+    assert limit is not None
+    for k in range(limit + 5):
+        dynamics._pair_tables(values, ThreeWayThresholds(k / 100, 0.5, 1.0))
+    assert dynamics._pair_tables.cache_info().currsize <= limit
+
+
+def test_term_tables_need_every_opinion_on_the_scale():
+    term_set = build_term_set(3, 2.0)
+    thresholds = ThreeWayThresholds(0.1, 0.6, 3.0)
+    on_scale = term_set.values[[0, 3, 6, 6, 2]]
+    assert dynamics._term_pairs(on_scale, term_set, thresholds).codes.tolist() == [0, 3, 6, 6, 2]
+    between = (term_set.values[1] + term_set.values[2]) / 2
+    for off in (-0.25, 1.25, math.nan, between, -0.0):
+        opinions = on_scale.copy()
+        opinions[1] = off
+        assert dynamics._term_pairs(opinions, term_set, thresholds) is None
+
+
+def test_step_at_the_largest_phi_builds_no_table():
+    term_set = build_term_set(MAX_PHI, 1.001)
+    opinions = term_set.values[[0, 9_999, 10_000, 10_001, 20_000, 10_000]]
+    net = random_network(opinions.size, 0.8, np.random.default_rng(5))
+    with mock.patch.object(dynamics, "_pair_tables", wraps=dynamics._pair_tables) as tables:
+        step(opinions, net, term_set, ThreeWayThresholds(0.0, 1.0, 1.0), 0.0,
+             RewiringParams(0.5, 0.5, 0.5, 0.5), np.random.default_rng(6))
+    tables.assert_not_called()
 
 
 @settings(max_examples=200, deadline=None)

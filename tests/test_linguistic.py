@@ -15,7 +15,6 @@ from opiniondyn import (
     term_min,
     term_value,
 )
-from opiniondyn import network
 from opiniondyn.linguistic import MAX_PHI
 
 
@@ -147,9 +146,9 @@ def test_construction_is_pure():
     assert np.array_equal(a.values, b.values)
 
 
-def test_nearest_terms_works_in_blocks_of_values(monkeypatch):
+def test_nearest_terms_at_the_largest_phi_uses_bounded_memory_and_equals_a_scan():
     # At the largest phi, 500 values against 20,001 terms would take 80 MB
-    # for each whole N x T temporary; blocks keep the peak near BLOCK_PAIRS.
+    # for each whole N x T temporary; one binary search per value needs none.
     term_set = build_term_set(MAX_PHI, 1.001)
     values = np.random.default_rng(3).random(500)
     tracemalloc.start()
@@ -161,19 +160,17 @@ def test_nearest_terms_works_in_blocks_of_values(monkeypatch):
     assert peak < 16 * 2**20
     assert blocked.tolist() == [int(np.abs(term_set.values - v).argmin()) for v in values]
 
-    # Blocks of 1 and of 2 values give each value's scalar scan, in any shape.
+    # Each value gets its scalar scan, in any shape.
     small = build_term_set(3, 2.0)
     grid = np.linspace(0.0, 1.0, 15).reshape(3, 5)
     expected = [[min(range(small.size), key=lambda k: abs(small.values[k] - v)) for v in row]
                 for row in grid.tolist()]
-    for block_pairs in (1, 2 * small.size):
-        monkeypatch.setattr(network, "BLOCK_PAIRS", block_pairs)
-        result = nearest_terms(small, grid)
-        assert result.dtype == np.intp and result.tolist() == expected
-        assert nearest_terms(small, 0.4).shape == ()
-        assert nearest_terms(small, []).shape == (0,)
-        with pytest.raises(ValueError, match="outside"):
-            nearest_terms(small, [0.5, 1.5])
+    result = nearest_terms(small, grid)
+    assert result.dtype == np.intp and result.tolist() == expected
+    assert nearest_terms(small, 0.4).shape == ()
+    assert nearest_terms(small, []).shape == (0,)
+    with pytest.raises(ValueError, match="outside"):
+        nearest_terms(small, [0.5, 1.5])
 
 
 @pytest.mark.parametrize("phi,base", [(2, 2.0**52), (3, 2.0**26), (3, 1e6), (200, 1.01),

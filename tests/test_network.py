@@ -205,6 +205,22 @@ def test_rewire_and_step_never_write_into_the_input_network(monkeypatch, term_se
         keep[0, 0] = False
 
 
+def test_row_blocks_follow_a_patched_block_size(monkeypatch):
+    # row_blocks is memoised, so its key must hold BLOCK_PAIRS as well as n
+    assert network.row_blocks(10) == (slice(0, 10),)
+    monkeypatch.setattr(network, "BLOCK_PAIRS", 25)
+    assert network.row_blocks(10) == (slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8),
+                                      slice(8, 10))
+    monkeypatch.undo()
+    assert network.row_blocks(10) == (slice(0, 10),)
+
+
+def test_rewire_rejects_opinions_below_zero():
+    params = RewiringParams(0.1, 0.5, 0.5, 0.5)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        rewire(empty_network(3), [0.1, -0.25, 0.2], params, np.random.default_rng(0))
+
+
 def test_edge_list_round_trip(tmp_path):
     net = random_network(12, 0.3, np.random.default_rng(5))
     path = tmp_path / "net.edges"
