@@ -45,12 +45,10 @@ def run_from_config(config: SimulationConfig) -> TrajectoryRecord:
             values0, mode, term_set, t_max=config.t_max, tol=config.epsilon,
             d_max=config.d_max, freeze_weights=config.degroot_freeze_weights,
         )
-    if config.model in ("hk-homogeneous", "hk-heterogeneous"):
-        return baselines.hk_run(
-            values0, config.hk_bounds(), term_set,
-            t_max=config.t_max, tol=config.epsilon, d_max=config.d_max,
-        )
-    raise ConfigError("model", f"unknown model {config.model!r}")
+    return baselines.hk_run(
+        values0, config.hk_bounds(), term_set,
+        t_max=config.t_max, tol=config.epsilon, d_max=config.d_max,
+    )
 
 
 def _cluster_tolerance(config: SimulationConfig) -> float:
@@ -173,13 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
     io = argparse.ArgumentParser(add_help=False)
     io.add_argument("--config", required=True, help="JSON config file")
     io.add_argument("--out", required=True, help="output directory")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="override the config seed")
 
-    run_p = sub.add_parser("run", parents=[io], help="run one model from a config file")
-    run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    sub.add_parser("run", parents=[io, seeded], help="run one model from a config file")
 
-    cmp_p = sub.add_parser("compare", parents=[io],
+    cmp_p = sub.add_parser("compare", parents=[io, seeded],
                            help="run several models from the same initial opinions")
-    cmp_p.add_argument("--seed", type=int, default=None)
     cmp_p.add_argument("--models", required=True,
                        help="comma-separated model list, e.g. "
                             "'threeway,degroot-uniform,hk-homogeneous:0.25'")

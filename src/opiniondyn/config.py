@@ -257,6 +257,12 @@ def check_setting(name: str, value):
 
 _PATHS = {row.metadata["path"] for row in fields(SimulationConfig)}
 _TOP_LEVEL_KEYS = {path.partition(".")[0] for path in _PATHS}
+# Every "object.key" a group or a component (by JSON names) may hold.
+_OBJECT_KEYS = {path for path in _PATHS if "." in path} | {
+    f"{row.metadata['path']}.{_JSON_KEYS.get(c.name, c.name)}"
+    for row in fields(SimulationConfig) if is_dataclass(row.metadata["kind"])
+    for c in fields(row.metadata["kind"])}
+_OBJECTS = {path.rpartition(".")[0] for path in _OBJECT_KEYS}
 
 
 def _from_json(row, value):
@@ -266,9 +272,6 @@ def _from_json(row, value):
         return value
     path = row.metadata["path"]
     _require(isinstance(value, dict), path, "expected an object")
-    keys = {_JSON_KEYS.get(c.name, c.name) for c in fields(kind)}
-    for key in value:
-        _require(key in keys, f"{path}.{key}", "unknown field")
     if kind is InitialNetworkSpec:
         return kind(**value)
     # A component object may set some keys; the rest keep the default's values.
@@ -288,9 +291,9 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     _require(isinstance(raw, dict), "<root>", "config must be a JSON object")
     for key, value in raw.items():
         _require(key in _TOP_LEVEL_KEYS, key, "unknown field")
-        if key not in _PATHS and isinstance(value, dict):  # a group: term_set, hk, degroot
+        if key in _OBJECTS and isinstance(value, dict):
             for inner in value:
-                _require(f"{key}.{inner}" in _PATHS, f"{key}.{inner}", "unknown field")
+                _require(f"{key}.{inner}" in _OBJECT_KEYS, f"{key}.{inner}", "unknown field")
     given = {}
     for row in fields(SimulationConfig):
         group, _, key = row.metadata["path"].rpartition(".")

@@ -46,7 +46,7 @@ class StepCounters:
     mapback_rechecks: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepResult:
     values: np.ndarray
     terms: np.ndarray
@@ -54,7 +54,7 @@ class StepResult:
     delta_max: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
     """Everything one run produced, iteration 0 (the initial state) included."""
 
@@ -79,13 +79,14 @@ class TrajectoryRecord:
         return self.values[-1]
 
     @classmethod
-    def from_states(cls, values_hist, terms_hist, networks, converged: bool,
+    def from_states(cls, states: list[StepResult], converged: bool,
                     d_max: float) -> "TrajectoryRecord":
-        values = np.asarray(values_hist, dtype=float)
+        values = np.array([s.values for s in states], dtype=float)
         var, rng_, cons, dmax = metrics_mod.trajectory_metrics(values, d_max)
+        networks = [s.network for s in states]
         degrees = np.array([net.degrees() for net in networks])
         return cls(
-            values=values, terms=np.asarray(terms_hist, dtype=int), networks=list(networks),
+            values=values, terms=np.array([s.terms for s in states], dtype=int), networks=networks,
             variance=var, opinion_range=rng_, consensus=cons,
             avg_degree=degrees.mean(axis=1), isolated=(degrees == 0).sum(axis=1), delta_max=dmax,
             converged=converged, iterations=values.shape[0] - 1,
@@ -118,10 +119,10 @@ class _PairTables(NamedTuple):
 
 
 @functools.lru_cache(maxsize=8)
-def _pair_tables(values: bytes, thresholds: ThreeWayThresholds) -> _PairTables:
-    """The tables of a scale, given as the bytes of its term values; a run, or
-    a sweep sharing its term set and thresholds, builds them once."""
-    v = np.frombuffer(values)
+def _pair_tables(term_set: LinguisticTermSet, thresholds: ThreeWayThresholds) -> _PairTables:
+    """The tables of a term set, keyed by the object itself; a run, or a sweep
+    sharing its term set and thresholds, builds them once."""
+    v = term_set.values
     dist = np.subtract.outer(v, v)
     np.abs(dist, out=dist)
     accept, hesitate = _classes(dist, thresholds)
@@ -153,7 +154,7 @@ def _term_pairs(opinions: np.ndarray, term_set: LinguisticTermSet,
     # NaN and values above the last term sort past it; clipped onto it, they differ
     if values.take(codes, mode="clip").tobytes() != opinions.tobytes():
         return None
-    tables = _pair_tables(values.tobytes(), thresholds)
+    tables = _pair_tables(term_set, thresholds)
     return _TermPairs(codes, tables.accept.take(codes, axis=1),
                       tables.hesitate.take(codes, axis=1), tables.probs)
 
@@ -247,11 +248,8 @@ def update_value(current: float, accepted, opinions: np.ndarray, inertia: float)
 def _average_rows(opinions: np.ndarray, listens: np.ndarray, inertia: float,
                   rows: np.ndarray) -> np.ndarray:
     """:func:`average` of the given agents only, in the order given."""
-    averaged = opinions[rows]
-    for r, i in enumerate(rows.tolist()):
-        if listens[i].any():
-            averaged[r] = update_value(opinions[i], np.flatnonzero(listens[i]), opinions, inertia)
-    return averaged
+    return np.array([update_value(opinions[i], np.flatnonzero(listens[i]), opinions, inertia)
+                     for i in rows.tolist()], dtype=float)
 
 
 def average(opinions: np.ndarray, listens: np.ndarray, inertia: float) -> np.ndarray:
@@ -378,8 +376,7 @@ def iterate(first: StepResult, advance: Callable[[StepResult], StepResult],
         if states[-1].delta_max < tol:
             converged = True
             break
-    return TrajectoryRecord.from_states([s.values for s in states], [s.terms for s in states],
-                                        [s.network for s in states], converged, d_max)
+    return TrajectoryRecord.from_states(states, converged, d_max)
 
 
 def run(config: SimulationConfig) -> TrajectoryRecord:

@@ -13,19 +13,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinguisticTermSet:
     """An ordered set of 2*phi + 1 linguistic terms with cached numeric values.
 
-    Immutable after construction; safe to share between concurrent readers.
-    Use :func:`build_term_set` rather than constructing directly.
+    Immutable, compared and hashed by identity, and safe to share between
+    concurrent readers. Use :func:`build_term_set` rather than constructing it.
     """
 
     phi: int
     base: float
     values: np.ndarray = field(repr=False)
     # (values[t] + values[t + 1]) / 2 for each t: the rounding boundaries of mapback
-    midpoints: np.ndarray = field(repr=False, compare=False)
+    midpoints: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:

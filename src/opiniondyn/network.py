@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SocialNetwork:
     """Undirected, loop-free social network over ``size`` agents."""
 
@@ -23,6 +23,8 @@ class SocialNetwork:
         adj = self.adjacency
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
+        if adj.shape[0] < 1:
+            raise ValueError(f"network size must be >= 1, got {adj.shape[0]}")
         if adj.dtype != np.bool_:
             raise ValueError("adjacency must be a boolean matrix")
         if np.any(np.diag(adj)):
@@ -210,14 +212,14 @@ def rewire(
     opinions = np.asarray(opinions, dtype=float)
     if opinions.shape != (n,):
         raise ValueError(f"expected {n} opinions, got shape {opinions.shape}")
-    if n and not (opinions.min() >= 0.0 and opinions.max() <= 1.0):  # NaN fails too
+    if not (opinions.min() >= 0.0 and opinions.max() <= 1.0):  # NaN fails too
         raise ValueError("opinions must lie in [0, 1]")
 
     old = net.adjacency
     new = old.copy()
     # Eligibility is a pure function of the old state, so each block of rows
     # takes the draws of all its eligible pairs at once. A block covers only
-    # the columns right of its first row's diagonal, and np.flatnonzero walks
+    # the columns right of its first row's diagonal, and ravel().nonzero() walks
     # it row-major, so the draws stay in lexicographic pair order. An eligible
     # pair is either unlinked and addable or linked and cuttable, so a
     # successful draw always flips it: the outcomes are toggles.

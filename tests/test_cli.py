@@ -130,6 +130,38 @@ def test_compare_emits_one_trajectory_set_per_entry(tmp_path):
     assert len(read_rows(out / "comparison.csv")) == 6
 
 
+def test_compare_gives_a_repeated_model_its_own_directory(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(out),
+                     "--models", "threeway,threeway"]) == 0
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["threeway", "threeway_again"]
+    assert (out / "threeway" / "opinions.csv").read_bytes() == \
+        (out / "threeway_again" / "opinions.csv").read_bytes()
+
+
+@pytest.mark.parametrize("models,message", [
+    ("degroot-uniform:0.3", "takes no parameter"),
+    ("hk-homogeneous:abc", "bad epsilon"),
+    (" , ", "empty model list"),
+])
+def test_compare_rejects_a_malformed_model_list(tmp_path, capsys, models, message):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(out), "--models", models]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_writes_a_configured_cluster_tolerance(tmp_path):
+    cfg = write_config(tmp_path, cluster_tolerance=0.0)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cluster_tolerance"] == 0.0
+    assert summary["final"]["cluster_count"] == 2
+
+
 def test_run_engine_error_leaves_no_partial_outputs(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
 

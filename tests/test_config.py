@@ -234,6 +234,18 @@ def test_unknown_nested_field_rejected(group, inner):
     assert (err.value.path, err.value.reason) == (f"{group}.{typo}", "unknown field")
 
 
+def test_unknown_nested_fields_are_reported_in_file_order():
+    raw = {"thresholds": {"lamda": 5}, "term_set": {"ph": 9}}
+    for config in (raw, minimal() | raw):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(config)
+        assert (err.value.path, err.value.reason) == ("thresholds.lamda", "unknown field")
+    # a setting that is not an object is checked by type, not by its keys
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(minimal() | {"n_agents": {"x": 1}})
+    assert (err.value.path, err.value.reason) == ("n_agents", "expected a number, got dict")
+
+
 def test_term_set_is_built_once_and_kept_out_of_the_schema():
     cfg = config_from_dict(minimal() | {"term_set": {"phi": 4, "base": 1.5}})
     assert cfg.term_set() is cfg.term_set()

@@ -19,6 +19,7 @@ from opiniondyn import (
     step,
     update_value,
 )
+from opiniondyn.dynamics import average
 from conftest import REFERENCE_TERMS
 
 THRESH = ThreeWayThresholds(alpha=0.3, beta=0.6, decay=10.0)
@@ -96,6 +97,31 @@ def test_step_rejects_nan_opinion_of_isolated_agent():
     with pytest.raises(ValueError):
         step(np.array([0.5, 0.5, np.nan]), net, TS, THRESH, 0.0, NO_REWIRE,
              np.random.default_rng(0))
+
+
+def test_step_rejects_opinions_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"expected 4 opinions, got shape \(3,\)"):
+        step(np.array([0.0, 0.5, 1.0]), empty_network(4), TS, THRESH, 0.0, NO_REWIRE,
+             np.random.default_rng(0))
+
+
+def test_bad_inertia_is_rejected_even_when_no_agent_listens():
+    opinions = np.array([0.0, 1.0])
+    message = r"inertia must lie in \[0, 1\], got 1.5"
+    with pytest.raises(ValueError, match=message):
+        step(opinions, empty_network(2), TS, THRESH, 1.5, NO_REWIRE, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=message):
+        average(opinions, np.zeros((2, 2), dtype=bool), 1.5)
+
+
+def test_records_states_and_term_sets_compare_and_hash_by_identity():
+    config = reference_config()
+    record, twin = run(config), run(config)
+    assert record == record and record != twin
+    state = step(record.values[0], record.networks[0], TS, THRESH, 0.0, NO_REWIRE,
+                 np.random.default_rng(0))
+    assert state == state and len({state, record, TS, config.term_set()}) == 4
+    assert TS != build_term_set(3, 2)
 
 
 def reference_config(**overrides):

@@ -242,7 +242,7 @@ def test_step_by_term_tables_matches_the_float_path_over_the_default_bound(case)
 def test_term_tables_hold_the_scalar_rule_and_are_read_only():
     term_set = build_term_set(3, 2.0)
     thresholds = ThreeWayThresholds(0.1, 0.6, 3.0)
-    tables = dynamics._pair_tables(term_set.values.tobytes(), thresholds)
+    tables = dynamics._pair_tables(term_set, thresholds)
     v = term_set.values.tolist()
     for a in range(term_set.size):
         for b in range(term_set.size):
@@ -259,11 +259,11 @@ def test_term_tables_hold_the_scalar_rule_and_are_read_only():
 
 
 def test_term_table_cache_is_bounded():
-    values = build_term_set(2, 2.0).values.tobytes()
+    term_set = build_term_set(2, 2.0)
     limit = dynamics._pair_tables.cache_info().maxsize
     assert limit is not None
     for k in range(limit + 5):
-        dynamics._pair_tables(values, ThreeWayThresholds(k / 100, 0.5, 1.0))
+        dynamics._pair_tables(term_set, ThreeWayThresholds(k / 100, 0.5, 1.0))
     assert dynamics._pair_tables.cache_info().currsize <= limit
 
 

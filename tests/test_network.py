@@ -41,6 +41,22 @@ def test_validation_rejects_bad_adjacency():
         network_from_edges(3, [(1, 1)])
 
 
+def test_a_network_needs_at_least_one_agent(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_text("")
+    for build in (lambda: SocialNetwork(np.zeros((0, 0), dtype=bool)),
+                  lambda: network_from_edges(0, []),
+                  lambda: load_network(path, 0)):
+        with pytest.raises(ValueError, match=r"network size must be >= 1, got 0"):
+            build()
+
+
+def test_networks_compare_and_hash_by_identity():
+    net, twin = network_from_edges(3, [(0, 1)]), network_from_edges(3, [(0, 1)])
+    assert net == net and net != twin
+    assert len({net, twin, net}) == 2
+
+
 def test_density_examples():
     assert density(complete_network(4)) == 1.0
     assert density(empty_network(4)) == 0.0
