@@ -11,6 +11,7 @@ Defaults follow the worked 20-agent scenario.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -31,6 +32,7 @@ MODELS = (
 # Bounds: (the rule in words, a test of the normalised value).
 _AT_LEAST_ONE = ("must be >= 1", lambda v: v >= 1)
 _POSITIVE = ("must be > 0", lambda v: v > 0.0)
+_NORMAL = (f"must be >= {sys.float_info.min!r}", lambda v: v >= sys.float_info.min)
 _NON_NEGATIVE = ("must be >= 0", lambda v: v >= 0.0)
 _UNIT = ("must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 _UINT64 = ("must be a 64-bit unsigned integer", lambda v: 0 <= v < 2**64)
@@ -158,7 +160,7 @@ class SimulationConfig:
     initial_network: InitialNetworkSpec = _setting(
         "initial_network", InitialNetworkSpec(edge_prob=0.1))
     model: str = _setting("model", "threeway", bound=_MODEL)
-    d_max: float = _setting("d_max", 0.5, bound=_POSITIVE)
+    d_max: float = _setting("d_max", 0.5, bound=_NORMAL)
     cluster_tolerance: float | None = _setting("cluster_tolerance", None, float, _NON_NEGATIVE)
     hk_epsilon: float | None = _setting("hk.epsilon", None, float, _UNIT)
     hk_epsilons: tuple[float, ...] | None = _setting("hk.epsilons", None, tuple)

@@ -3,6 +3,8 @@ All but cluster_count take a state (giving a float) or a history, one state per 
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .linguistic import LinguisticTermSet
@@ -55,8 +57,9 @@ def consensus_index(opinions, d_max: float = 0.5):
 
 
 def _consensus(deviations: np.ndarray, d_max: float):
-    if not d_max > 0.0:
-        raise ValueError(f"d_max must be > 0, got {d_max!r}")
+    # Only a subnormal d_max overflows: the mean absolute deviation is <= 0.5.
+    if not d_max >= sys.float_info.min:
+        raise ValueError(f"d_max must be >= {sys.float_info.min!r}, got {d_max!r}")
     return _per_state(1.0 - np.mean(np.abs(deviations), axis=-1) / d_max)
 
 

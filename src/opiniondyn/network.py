@@ -13,6 +13,11 @@ from pathlib import Path
 import numpy as np
 
 
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"network size must be >= 1, got {n}")
+
+
 @dataclass(frozen=True, eq=False)
 class SocialNetwork:
     """Undirected, loop-free social network over ``size`` agents."""
@@ -23,8 +28,7 @@ class SocialNetwork:
         adj = self.adjacency
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-        if adj.shape[0] < 1:
-            raise ValueError(f"network size must be >= 1, got {adj.shape[0]}")
+        _check_size(adj.shape[0])
         if adj.dtype != np.bool_:
             raise ValueError("adjacency must be a boolean matrix")
         if np.any(np.diag(adj)):
@@ -81,14 +85,12 @@ class NetworkStats:
 
 
 def empty_network(n: int) -> SocialNetwork:
-    if n < 1:
-        raise ValueError(f"network size must be >= 1, got {n}")
+    _check_size(n)
     return SocialNetwork(np.zeros((n, n), dtype=bool))
 
 
 def complete_network(n: int) -> SocialNetwork:
-    if n < 1:
-        raise ValueError(f"network size must be >= 1, got {n}")
+    _check_size(n)
     adj = np.ones((n, n), dtype=bool)
     np.fill_diagonal(adj, False)
     return SocialNetwork(adj)
@@ -96,6 +98,7 @@ def complete_network(n: int) -> SocialNetwork:
 
 def network_from_edges(n: int, edges) -> SocialNetwork:
     """Build a network from undirected (i, j) pairs."""
+    _check_size(n)
     adj = np.zeros((n, n), dtype=bool)
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
@@ -180,8 +183,7 @@ def random_network(n: int, edge_prob: float, rng: np.random.Generator) -> Social
     is connected when the draw falls below ``edge_prob``. The draws are taken
     one block of upper-triangle rows at a time, which is the same stream.
     """
-    if n < 1:
-        raise ValueError(f"network size must be >= 1, got {n}")
+    _check_size(n)
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob!r}")
     adj = np.zeros((n, n), dtype=bool)
@@ -249,20 +251,40 @@ def rewire(
 # ascending pair order; blank lines and '#' comments are ignored on read.
 # ---------------------------------------------------------------------------
 
-def _edge_rows(net: SocialNetwork):
-    """The edge lines of each agent with a higher-indexed neighbour, one
-    string per agent: row i of the upper triangle, as "i j" lines."""
-    adj = net.adjacency
-    labels = np.array([f"{j}\n" for j in range(net.size)], dtype=object)
-    for i in range(net.size):
-        jj = np.flatnonzero(adj[i, i + 1:])
-        if jj.size:
-            prefix = f"{i} "
-            yield prefix + prefix.join(labels[jj + (i + 1)].tolist())
+@functools.lru_cache(maxsize=8)
+def _edge_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only "j " and "j\\n" labels of agents 0..n-1, as fixed-width
+    bytes padded on the left with NULs to the width of n-1."""
+    width = len(str(n - 1)) + 1
+    return tuple(np.frombuffer(b"".join(f"{j}{end}".encode().rjust(width, b"\0")
+                                        for j in range(n)), dtype=f"S{width}")
+                 for end in " \n")
+
+
+def _edge_chunks(net: SocialNetwork):
+    """The edge lines of each row block of the upper triangle, as bytes: the
+    labels of each edge's row and column side by side, padding stripped. Only
+    a block that starts below the first label of full width holds padding."""
+    n = net.size
+    row_labels, col_labels = _edge_labels(n)
+    padded = 10 ** (len(str(n - 1)) - 1)
+    for rows in row_blocks(n):
+        first = rows.start + 1
+        upper = net.adjacency[rows, first:].copy()
+        _mask_below_diagonal(upper)
+        cols = upper.ravel().nonzero()[0]
+        # Each row's flat offset subtracted from its edges leaves the column.
+        counts = np.count_nonzero(upper, axis=1)
+        cols -= np.repeat(np.arange(counts.size) * upper.shape[1], counts)
+        lines = np.empty((cols.size, 2), dtype=row_labels.dtype)
+        lines[:, 0] = np.repeat(row_labels[rows], counts)
+        lines[:, 1] = col_labels[first:].take(cols)
+        text = lines.tobytes()
+        yield text.translate(None, b"\0") if rows.start < padded else text
 
 
 def format_edge_list(net: SocialNetwork) -> str:
-    return "".join(_edge_rows(net))
+    return b"".join(_edge_chunks(net)).decode("ascii")
 
 
 def parse_edge_list(text: str) -> list[tuple[int, int]]:
@@ -282,10 +304,10 @@ def parse_edge_list(text: str) -> list[tuple[int, int]]:
 
 
 def save_edge_list(net: SocialNetwork, path) -> None:
-    """Write the edge list one agent row at a time, so the text of the whole
-    network is never held in memory at once."""
-    with open(path, "w") as fh:
-        fh.writelines(_edge_rows(net))
+    """Write the edge list one row block of about BLOCK_PAIRS pairs at a time,
+    so the text of the whole network is never held in memory at once."""
+    with open(path, "wb") as fh:
+        fh.writelines(_edge_chunks(net))
 
 
 def load_network(path, n: int) -> SocialNetwork:

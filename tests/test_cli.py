@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from opiniondyn import cli
+from opiniondyn import cli, outputs
 from opiniondyn.config import load_config
 from opiniondyn.outputs import write_trajectory
 from conftest import REFERENCE_TERMS
@@ -471,3 +471,27 @@ def test_opinions_csv_that_is_not_utf8_is_named(tmp_path, capsys):
     assert cli.main(["metrics", str(opinions), "--out", str(out)]) == 2
     assert str(opinions) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_subnormal_d_max_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, d_max=1e-320)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert "d_max" in capsys.readouterr().err
+    run_out = tmp_path / "ok"
+    assert cli.main(["run", "--config", str(write_config(tmp_path)), "--out", str(run_out)]) == 0
+    capsys.readouterr()
+    code = cli.main(["metrics", str(run_out / "opinions.csv"), "--out", str(tmp_path / "met"),
+                     "--d-max", "1e-320"])
+    assert code == 1
+    assert "d_max" in capsys.readouterr().err
+    assert not (tmp_path / "met").exists()
+
+
+def test_write_trajectory_saves_each_snapshot_through_save_edge_list(tmp_path, monkeypatch):
+    # The benchmark times edge emission by wrapping outputs.save_edge_list.
+    record = cli.run_from_config(load_config(write_config(tmp_path)))
+    saved = []
+    monkeypatch.setattr(outputs, "save_edge_list", lambda net, path: saved.append(net))
+    names = write_trajectory(record, tmp_path / "out", 0.01)["networks"]
+    assert len(saved) == len(names) == record.iterations + 1
+    assert all(a is b for a, b in zip(saved, record.networks))

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -78,6 +79,7 @@ def test_unknown_field_rejected():
     ({"initial_network": {"edges": [[0, 25]]}}, "initial_network.edges[0]"),
     ({"initial_network": {"edges": [[2, 2]]}}, "initial_network.edges[0]"),
     ({"initial_network": {"edge_prob": 1.5}}, "initial_network.edge_prob"),
+    ({"d_max": 1e-320}, "d_max"),  # subnormal: overflows the consensus index
 ])
 def test_constraint_violations_name_the_field(patch, path):
     with pytest.raises(ConfigError) as err:
@@ -194,7 +196,7 @@ def valid_configs(draw):
         seed=draw(st.integers(0, 2**64 - 1)),
         initial_network=network,
         model=model,
-        d_max=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        d_max=draw(st.floats(sys.float_info.min, 1.0)),
         cluster_tolerance=draw(st.none() | st.floats(0.0, 1.0)),
         hk_epsilon=hk_epsilon,
         hk_epsilons=hk_epsilons,

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -177,3 +178,9 @@ def test_history_metrics_equal_per_state_calls(hist, d_max):
             assert same_bits(got, want)
     with pytest.raises(ValueError):
         cluster_count(hist, 0.1)  # one state only
+
+
+def test_consensus_index_rejects_a_subnormal_d_max():
+    with pytest.raises(ValueError, match=r"d_max must be >= 2.2250738585072014e-308, got 1e-320"):
+        consensus_index([0.0, 1.0], 1e-320)
+    assert consensus_index([0.0, 1.0], sys.float_info.min) == 1.0 - 0.5 / sys.float_info.min

@@ -1,5 +1,6 @@
 import itertools
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,10 @@ def test_a_network_needs_at_least_one_agent(tmp_path):
                   lambda: load_network(path, 0)):
         with pytest.raises(ValueError, match=r"network size must be >= 1, got 0"):
             build()
+    for build in (empty_network, complete_network, lambda n: network_from_edges(n, []),
+                  lambda n: load_network(path, n)):
+        with pytest.raises(ValueError, match=r"network size must be >= 1, got -1"):
+            build(-1)
 
 
 def test_networks_compare_and_hash_by_identity():
@@ -297,3 +302,44 @@ def test_edge_writer_matches_per_pair_reference(net):
 def test_edge_list_parser_names_the_line_of_a_bad_number():
     with pytest.raises(ValueError, match=r"^line 2: invalid literal for int\(\)"):
         parse_edge_list("0 1\n1 x\n")
+
+
+def assert_writer_matches_reference(net: SocialNetwork, path: Path) -> None:
+    text = format_edge_list(net)
+    assert text == reference_edge_text(net)
+    save_edge_list(net, path)
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("n", [10, 11, 100, 101, 1000, 1001])
+@pytest.mark.parametrize("kind", ["empty", "sparse", "complete"])
+def test_edge_writer_across_label_widths(n, kind, tmp_path):
+    net = {"empty": empty_network,
+           "sparse": lambda n: random_network(n, 3 / n, np.random.default_rng(n)),
+           "complete": complete_network}[kind](n)
+    assert_writer_matches_reference(net, tmp_path / "net.edges")
+
+
+@pytest.mark.parametrize("n", [12, 101, 150])
+@pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+def test_edge_writer_blocks_either_side_of_the_padding_threshold(n, rows_per_block,
+                                                                 monkeypatch, tmp_path):
+    # Blocks start at rows 9 and 10, or 99 and 100, or hold both.
+    monkeypatch.setattr(network, "BLOCK_PAIRS", rows_per_block * n)
+    assert {rows.start for rows in network.row_blocks(n)} & {9, 10, 99, 100}
+    for net in (complete_network(n), random_network(n, 0.5, np.random.default_rng(n))):
+        assert_writer_matches_reference(net, tmp_path / "net.edges")
+
+
+def test_edge_file_memory_is_one_row_block(tmp_path):
+    net = complete_network(2000)
+    path = tmp_path / "net.edges"
+    tracemalloc.start()
+    try:
+        save_edge_list(net, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size == 17_771_110  # 1,999,000 lines
+    assert peak < size / 4
