@@ -130,6 +130,8 @@ def parse_seed_range(text: str) -> list[int]:
 
 
 def cmd_sweep(config: SimulationConfig, seeds: list[int], outdir: Path) -> Path:
+    if not seeds:
+        raise ConfigError("seeds", "empty seed list")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     tolerance = _cluster_tolerance(config)

@@ -8,6 +8,7 @@ The manifest is the only file carrying the seed and a timestamp.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from datetime import datetime, timezone
@@ -26,6 +27,7 @@ METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
 MANIFEST_FILE = "manifest.json"
 OPINIONS_COLUMNS = ["iteration", "agent", "value", "term_index"]
+TERMS_COLUMNS = ["iteration", "agent", "term_index"]
 METRICS_COLUMNS = ["iteration", "variance", "range", "c_aad", "avg_degree", "isolated", "delta_max"]
 
 
@@ -39,6 +41,65 @@ def write_csv(path: Path, header: list[str], rows) -> None:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+
+
+# The trajectory tables are formatted in blocks of whole iterations of at most
+# this many rows (or of this many agents of one iteration, when an iteration
+# has more), so the writer's temporaries take O(BLOCK_ROWS) memory.
+BLOCK_ROWS = 1 << 12
+
+
+@functools.lru_cache(maxsize=8)
+def _index_labels(n: int) -> np.ndarray:
+    """Read-only "i," labels of 0..n-1, NUL-padded to one width."""
+    labels = np.fromiter((f"{i},".encode() for i in range(n)), f"S{len(str(n - 1)) + 1}", n)
+    labels.setflags(write=False)
+    return labels
+
+
+def _cell_labels(cells: np.ndarray, end: str) -> np.ndarray:
+    """The "x<end>" label of each float64 or int64 cell, NUL-padded to one
+    width. repr runs once per distinct 64-bit pattern, so 0.0 and -0.0 keep
+    their own labels and a block of term values takes at most 2*phi+1."""
+    keys = cells.view(np.uint64)
+    # Not np.unique: its first call imports numpy.ma, about 1.6 MB resident.
+    ordered = np.sort(keys, axis=None)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    labels = np.array([f"{x!r}{end}".encode() for x in distinct.view(cells.dtype).tolist()])
+    return labels.take(distinct.searchsorted(keys))
+
+
+def _table_chunks(*columns: np.ndarray):
+    """The rows of a per-iteration table as bytes, one block at a time:
+    "iteration,agent," then the cell of each (iterations+1, N) float64 or
+    int64 column, the last ending the line with "\\r\\n" as csv.writer does.
+    A block is a structured array of fixed-width labels, one row per cell;
+    its bytes are the CSV text once the padding is stripped."""
+    n_iterations, n = columns[0].shape
+    iteration_labels, agent_labels = _index_labels(n_iterations), _index_labels(n)
+    ends = [","] * (len(columns) - 1) + ["\r\n"]
+    per_block = max(1, BLOCK_ROWS // n)
+    for first in range(0, n_iterations, per_block):
+        iterations = slice(first, first + per_block)
+        for start in range(0, n, BLOCK_ROWS):
+            agents = slice(start, start + BLOCK_ROWS)
+            fields = [iteration_labels[iterations, None], agent_labels[agents]]
+            fields += [_cell_labels(column[iterations, agents], end)
+                       for column, end in zip(columns, ends)]
+            block = np.empty(fields[-1].shape,
+                             dtype=[(f"f{i}", f.dtype) for i, f in enumerate(fields)])
+            for i, f in enumerate(fields):
+                block[f"f{i}"] = f
+            yield block.tobytes().translate(None, b"\0")
+
+
+def _write_table(path: Path, header: list[str], *columns: np.ndarray) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(",".join(header).encode() + b"\r\n")
+            fh.writelines(_table_chunks(*columns))
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
@@ -125,15 +186,11 @@ def write_trajectory(record: TrajectoryRecord, outdir: Path,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    # Python floats and ints, one list per iteration: repr of a float from
-    # tolist() is fmt_float of the numpy value.
-    values, terms = record.values.tolist(), record.terms.tolist()
-    write_csv(outdir / OPINIONS_FILE, OPINIONS_COLUMNS,
-              ((k, agent, repr(v), t)
-               for k, (row_v, row_t) in enumerate(zip(values, terms))
-               for agent, (v, t) in enumerate(zip(row_v, row_t))))
-    write_csv(outdir / TERMS_FILE, ["iteration", "agent", "term_index"],
-              ((k, agent, t) for k, row_t in enumerate(terms) for agent, t in enumerate(row_t)))
+    # repr of a float64 is fmt_float of it; no copy for a record's own dtypes.
+    values = np.asarray(record.values, dtype=np.float64)
+    terms = np.asarray(record.terms, dtype=np.int64)
+    _write_table(outdir / OPINIONS_FILE, OPINIONS_COLUMNS, values, terms)
+    _write_table(outdir / TERMS_FILE, TERMS_COLUMNS, terms)
 
     write_metrics(outdir / METRICS_FILE, range(record.iterations + 1), record.variance,
                   record.opinion_range, record.consensus, record.delta_max,

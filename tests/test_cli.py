@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from opiniondyn import cli, outputs
-from opiniondyn.config import load_config
+from opiniondyn.config import ConfigError, load_config
 from opiniondyn.outputs import write_trajectory
 from conftest import REFERENCE_TERMS
 
@@ -281,6 +281,25 @@ def test_unwritable_edge_file_is_a_runtime_error(tmp_path, capsys):
         write_trajectory(record, tmp_path / "out", 0.01)
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "network_0.edges" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["opinions.csv", "terms.csv"])
+def test_unwritable_table_is_a_runtime_error(tmp_path, capsys, name):
+    cfg = write_config(tmp_path)
+    (tmp_path / "out" / name).mkdir(parents=True)  # a directory where the table should go
+    record = cli.run_from_config(load_config(cfg))
+    with pytest.raises(RuntimeError, match=f"cannot write .*{name}"):
+        write_trajectory(record, tmp_path / "out", 0.01)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_sweep_rejects_an_empty_seed_list_before_writing(tmp_path):
+    config = load_config(write_config(tmp_path))
+    out = tmp_path / "sw"
+    with pytest.raises(ConfigError, match="empty seed list") as caught:
+        cli.cmd_sweep(config, [], out)
+    assert caught.value.path == "seeds" and not out.exists()
 
 
 def test_parse_seed_range():
