@@ -94,6 +94,8 @@ def _summary_row(label: str | int, record: TrajectoryRecord, tolerance: float) -
 
 
 def cmd_compare(config: SimulationConfig, model_specs: list[str], outdir: Path) -> Path:
+    if not model_specs:
+        raise ConfigError("models", "empty model list")
     derived_configs = [parse_model_spec(spec, config) for spec in model_specs]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -209,8 +211,6 @@ def main(argv=None) -> int:
             cmd_run(config, Path(args.out))
         elif args.command == "compare":
             specs = [s.strip() for s in args.models.split(",") if s.strip()]
-            if not specs:
-                raise ConfigError("models", "empty model list")
             cmd_compare(config, specs, Path(args.out))
         elif args.command == "sweep":
             cmd_sweep(config, parse_seed_range(args.seeds), Path(args.out))

@@ -23,7 +23,7 @@ from . import metrics as metrics_mod
 from . import network
 from .config import SimulationConfig
 from .linguistic import LinguisticTermSet, nearest_terms
-from .network import RewiringParams, SocialNetwork, rewire, row_blocks
+from .network import RewiringParams, SocialNetwork, pair_distances, rewire, row_blocks, row_counts
 from .threeway import ThreeWayThresholds
 
 
@@ -118,33 +118,49 @@ class _PairTables(NamedTuple):
     probs: np.ndarray
 
 
+def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 @functools.lru_cache(maxsize=8)
 def _pair_tables(term_set: LinguisticTermSet, thresholds: ThreeWayThresholds) -> _PairTables:
     """The tables of a term set, keyed by the object itself; a run, or a sweep
     sharing its term set and thresholds, builds them once."""
-    v = term_set.values
-    dist = np.subtract.outer(v, v)
-    np.abs(dist, out=dist)
+    dist = pair_distances(term_set.values, term_set.values)
     accept, hesitate = _classes(dist, thresholds)
     probs = np.zeros(dist.shape)
     probs[hesitate] = _probabilities(dist[hesitate], thresholds)
-    for table in (accept, hesitate, probs):
-        table.setflags(write=False)
-    return _PairTables(accept, hesitate, probs)
+    return _PairTables(*_read_only(accept, hesitate, probs))
+
+
+@functools.lru_cache(maxsize=8)
+def _rewire_tables(term_set: LinguisticTermSet,
+                   rewiring: RewiringParams) -> tuple[np.ndarray, np.ndarray]:
+    """Rewiring's two tests for every pair of term values, read-only and cached
+    as :func:`_pair_tables`: ``close`` is ``|v_a - v_b| < delta_add`` and
+    ``far`` is ``|v_a - v_b| > delta_cut``, as :func:`~opiniondyn.network.rewire`
+    compares them per pair."""
+    dist = pair_distances(term_set.values, term_set.values)
+    return _read_only(dist < rewiring.delta_add, dist > rewiring.delta_cut)
 
 
 class _TermPairs(NamedTuple):
     """One step's opinions as term indices, with the table rows of every agent
-    as a peer: ``accept[a, j]`` classifies agent j for an agent at term a."""
+    as a peer: ``accept[a, j]`` classifies agent j for an agent at term a, and
+    ``close[a, j]`` and ``far[a, j]`` are rewiring's tests of that pair."""
 
     codes: np.ndarray
     accept: np.ndarray
     hesitate: np.ndarray
     probs: np.ndarray
+    close: np.ndarray
+    far: np.ndarray
 
 
 def _term_pairs(opinions: np.ndarray, term_set: LinguisticTermSet,
-                thresholds: ThreeWayThresholds) -> _TermPairs | None:
+                thresholds: ThreeWayThresholds, rewiring: RewiringParams) -> _TermPairs | None:
     """The lookup of a step whose opinions all hold the bits of a term value,
     on a scale whose table of term pairs fits in one row block; else None."""
     values = term_set.values
@@ -155,8 +171,10 @@ def _term_pairs(opinions: np.ndarray, term_set: LinguisticTermSet,
     if values.take(codes, mode="clip").tobytes() != opinions.tobytes():
         return None
     tables = _pair_tables(term_set, thresholds)
+    close, far = _rewire_tables(term_set, rewiring)
     return _TermPairs(codes, tables.accept.take(codes, axis=1),
-                      tables.hesitate.take(codes, axis=1), tables.probs)
+                      tables.hesitate.take(codes, axis=1), tables.probs,
+                      close.take(codes, axis=1), far.take(codes, axis=1))
 
 
 def _filter_links(
@@ -178,8 +196,7 @@ def _filter_links(
     tables, which hold those same floats for every pair of term values.
     """
     if pairs is None:
-        dist = np.subtract.outer(opinions[rows], opinions)
-        np.abs(dist, out=dist)
+        dist = pair_distances(opinions[rows], opinions)
         accepted, hesitant = _classes(dist, thresholds)
     else:
         own = pairs.codes[rows]
@@ -305,7 +322,7 @@ def average_terms(
     recheck = np.arange(n)
     # NaN fails the range test too; an empty state has nothing to certify
     if 0.0 <= inertia <= 1.0 and n and opinions.min() >= 0.0 and opinions.max() <= 1.0:
-        counts = np.count_nonzero(listens, axis=1)
+        counts = row_counts(listens)
         sums = np.empty(n)
         for rows in row_blocks(n):
             sums[rows] = listens[rows] @ opinions
@@ -341,7 +358,7 @@ def step(
     if counters is not None:
         counters.filter_visits += int(np.count_nonzero(net.adjacency))
         counters.rewire_visits += n * (n - 1) // 2
-    pairs = _term_pairs(opinions, term_set, thresholds)
+    pairs = _term_pairs(opinions, term_set, thresholds, rewiring)
     accepted = np.empty((n, n), dtype=bool)
     for rows in row_blocks(n):
         accepted[rows] = _filter_links(rows, opinions, net.adjacency[rows], thresholds, rng, pairs)
@@ -353,7 +370,7 @@ def step(
     new_terms = average_terms(opinions, accepted, inertia, term_set, counters)
     del accepted
     new_values = np.where(movers, term_set.values[new_terms], opinions)
-    new_net = rewire(net, opinions, rewiring, rng)
+    new_net = rewire(net, opinions, rewiring, rng, pairs)
     return StepResult(
         values=new_values,
         terms=new_terms,

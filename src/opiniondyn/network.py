@@ -13,6 +13,24 @@ from pathlib import Path
 import numpy as np
 
 
+def row_counts(mask: np.ndarray) -> np.ndarray:
+    """The True entries of each row of a boolean matrix, as ``intp``.
+
+    The bytes of each row are summed as integers, which is exact because
+    every boolean this package makes or accepts is stored as a 0 or 1 byte.
+    """
+    if mask.dtype != np.bool_:
+        raise TypeError(f"row_counts needs a boolean mask, got {mask.dtype}")
+    return np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.uint32).astype(np.intp)
+
+
+def pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``|a[i] - b[j]|`` for every i and j: the distance of every pairwise rule."""
+    dist = np.subtract.outer(a, b)
+    np.abs(dist, out=dist)
+    return dist
+
+
 def _check_size(n: int) -> None:
     if n < 1:
         raise ValueError(f"network size must be >= 1, got {n}")
@@ -31,6 +49,8 @@ class SocialNetwork:
         _check_size(adj.shape[0])
         if adj.dtype != np.bool_:
             raise ValueError("adjacency must be a boolean matrix")
+        if adj.view(np.uint8).max() > 1:  # row_counts sums the bytes
+            raise ValueError("adjacency holds booleans whose bytes are not 0 or 1")
         if np.any(np.diag(adj)):
             raise ValueError("adjacency has self-loops")
         if not np.array_equal(adj, adj.T):
@@ -53,7 +73,7 @@ class SocialNetwork:
         return int(self.adjacency.sum()) // 2
 
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        return row_counts(self.adjacency)
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges as (i, j) with i < j, ascending pair order."""
@@ -200,6 +220,7 @@ def rewire(
     opinions,
     params: RewiringParams,
     rng: np.random.Generator,
+    pairs=None,
 ) -> SocialNetwork:
     """One rewiring pass driven by pairwise opinion distances.
 
@@ -209,6 +230,13 @@ def rewire(
     probability p_cut (strict inequalities; boundary distances do nothing).
     Exactly one uniform draw is consumed per eligible pair. All decisions
     read the pre-rewiring adjacency and the supplied opinions.
+
+    ``pairs`` is the term lookup that ``dynamics.step`` passes when every
+    opinion is a term value: agent i sits at term ``pairs.codes[i]``, and
+    ``pairs.close[a, j]`` and ``pairs.far[a, j]`` hold ``|v_a - x_j| <
+    delta_add`` and ``> delta_cut`` for a term a and agent j. Those tables
+    hold the same comparisons of the same :func:`pair_distances`, so the
+    outcome and the draws are those of the per-pair path bit for bit.
     """
     n = net.size
     opinions = np.asarray(opinions, dtype=float)
@@ -224,23 +252,29 @@ def rewire(
     # the columns right of its first row's diagonal, and ravel().nonzero() walks
     # it row-major, so the draws stay in lexicographic pair order. An eligible
     # pair is either unlinked and addable or linked and cuttable, so a
-    # successful draw always flips it: the outcomes are toggles.
+    # successful draw always flips it: the outcomes are toggles. Both ways of
+    # making addable and eligible give fresh C-contiguous blocks, so ravel()
+    # is a view and the outcomes land in place.
     for rows in row_blocks(n):
         first = rows.start + 1
-        dist = np.subtract.outer(opinions[rows], opinions[first:])
-        np.abs(dist, out=dist)
+        if pairs is None:
+            dist = pair_distances(opinions[rows], opinions[first:])
+            addable = dist < params.delta_add
+            eligible = dist > params.delta_cut
+            del dist
+        else:
+            own = pairs.codes[rows]
+            addable = pairs.close[own, first:]
+            eligible = pairs.far[own, first:]
         linked = old[rows, first:]
-        addable = dist < params.delta_add
-        eligible = dist > params.delta_cut
-        del dist
         addable &= ~linked
         eligible &= linked
         eligible |= addable
         _mask_below_diagonal(eligible)
-        pairs = eligible.ravel().nonzero()[0]
-        flips = eligible  # True only at pairs, each overwritten by its outcome
-        flips.ravel()[pairs] = rng.random(pairs.size) < np.where(
-            addable.ravel()[pairs], params.p_add, params.p_cut)
+        drawn = eligible.ravel().nonzero()[0]
+        flips = eligible  # True only where drawn, each overwritten by its outcome
+        flips.ravel()[drawn] = rng.random(drawn.size) < np.where(
+            addable.ravel()[drawn], params.p_add, params.p_cut)
         new[rows, first:] ^= flips
         new[first:, rows] ^= flips.T
     return SocialNetwork._built(new)
@@ -274,7 +308,7 @@ def _edge_chunks(net: SocialNetwork):
         _mask_below_diagonal(upper)
         cols = upper.ravel().nonzero()[0]
         # Each row's flat offset subtracted from its edges leaves the column.
-        counts = np.count_nonzero(upper, axis=1)
+        counts = row_counts(upper)
         cols -= np.repeat(np.arange(counts.size) * upper.shape[1], counts)
         lines = np.empty((cols.size, 2), dtype=row_labels.dtype)
         lines[:, 0] = np.repeat(row_labels[rows], counts)

@@ -302,6 +302,14 @@ def test_sweep_rejects_an_empty_seed_list_before_writing(tmp_path):
     assert caught.value.path == "seeds" and not out.exists()
 
 
+def test_compare_rejects_an_empty_model_list_before_writing(tmp_path):
+    config = load_config(write_config(tmp_path))
+    out = tmp_path / "cmp"
+    with pytest.raises(ConfigError, match="empty model list") as caught:
+        cli.cmd_compare(config, [], out)
+    assert caught.value.path == "models" and not out.exists()
+
+
 def test_parse_seed_range():
     assert cli.parse_seed_range("3..6") == [3, 4, 5, 6]
     assert cli.parse_seed_range("9") == [9]

@@ -196,10 +196,12 @@ def term_valued_cases(draw, phis=st.integers(1, 4), bases=st.sampled_from([1.01,
     n = draw(st.integers(1, 12))
     opinions = term_set.values[draw(st.lists(st.integers(0, term_set.size - 1),
                                              min_size=n, max_size=n))]
-    # thresholds equal to a pair's distance test the boundaries of each class
+    # thresholds equal to a pair's distance test the boundaries of each class,
+    # and deltas equal to one test rewiring's strict < and >
     distances = st.sampled_from(sorted({abs(a - b) for a in opinions for b in opinions}))
-    alpha, beta = sorted(draw(st.tuples(st.one_of(unit, distances), st.one_of(unit, distances))))
-    rewiring = RewiringParams(draw(unit), draw(unit), draw(probabilities), draw(probabilities))
+    bounds = st.one_of(unit, distances)
+    alpha, beta = sorted(draw(st.tuples(bounds, bounds)))
+    rewiring = RewiringParams(draw(bounds), draw(bounds), draw(probabilities), draw(probabilities))
     return dict(
         term_set=term_set, opinions=opinions,
         thresholds=ThreeWayThresholds(alpha, beta, draw(st.floats(0, 30))),
@@ -217,7 +219,8 @@ def check_table_path_matches_float_path(case):
     for block_pairs, lookup in ((table_pairs, True), (term_set.size**2 - 1, False)):
         rng = np.random.default_rng(case["seed"] + 1)
         with mock.patch.object(network, "BLOCK_PAIRS", block_pairs):
-            assert (dynamics._term_pairs(opinions, term_set, case["thresholds"]) is None) != lookup
+            pairs = dynamics._term_pairs(opinions, term_set, case["thresholds"], case["rewiring"])
+            assert (pairs is None) != lookup
             result = step(opinions, net, *args, rng)
         outcomes.append((result.values.tobytes(), result.terms.tolist(),
                          result.network.adjacency.tobytes(), rng.random()))
@@ -242,8 +245,11 @@ def test_step_by_term_tables_matches_the_float_path_over_the_default_bound(case)
 def test_term_tables_hold_the_scalar_rule_and_are_read_only():
     term_set = build_term_set(3, 2.0)
     thresholds = ThreeWayThresholds(0.1, 0.6, 3.0)
-    tables = dynamics._pair_tables(term_set, thresholds)
     v = term_set.values.tolist()
+    # deltas equal to a term distance put pairs on both sides of the strict tests
+    rewiring = RewiringParams(abs(v[1] - v[3]), abs(v[2] - v[5]), 0.5, 0.5)
+    tables = dynamics._pair_tables(term_set, thresholds)
+    close, far = dynamics._rewire_tables(term_set, rewiring)
     for a in range(term_set.size):
         for b in range(term_set.size):
             d = abs(v[a] - v[b])
@@ -251,7 +257,11 @@ def test_term_tables_hold_the_scalar_rule_and_are_read_only():
             assert tables.hesitate[a, b] == (thresholds.alpha < d < thresholds.beta)
             expected = acceptance_probability(d, thresholds) if tables.hesitate[a, b] else 0.0
             assert tables.probs[a, b] == expected
-    for table in tables:
+            assert close[a, b] == (d < rewiring.delta_add)
+            assert far[a, b] == (d > rewiring.delta_cut)
+    # a distance equal to the delta is neither closer nor farther
+    assert not (close[1, 3] or close[3, 1] or far[2, 5] or far[5, 2])
+    for table in (*tables, close, far):
         assert table.shape == (term_set.size, term_set.size)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -260,33 +270,55 @@ def test_term_tables_hold_the_scalar_rule_and_are_read_only():
 
 def test_term_table_cache_is_bounded():
     term_set = build_term_set(2, 2.0)
-    limit = dynamics._pair_tables.cache_info().maxsize
-    assert limit is not None
-    for k in range(limit + 5):
-        dynamics._pair_tables(term_set, ThreeWayThresholds(k / 100, 0.5, 1.0))
-    assert dynamics._pair_tables.cache_info().currsize <= limit
+    for tables, key in ((dynamics._pair_tables, lambda k: ThreeWayThresholds(k / 100, 0.5, 1.0)),
+                        (dynamics._rewire_tables, lambda k: RewiringParams(k / 100, 0.5, 0.5, 0.5))):
+        limit = tables.cache_info().maxsize
+        assert limit is not None
+        for k in range(limit + 5):
+            tables(term_set, key(k))
+        assert tables.cache_info().currsize <= limit
 
 
 def test_term_tables_need_every_opinion_on_the_scale():
     term_set = build_term_set(3, 2.0)
-    thresholds = ThreeWayThresholds(0.1, 0.6, 3.0)
+    args = (term_set, ThreeWayThresholds(0.1, 0.6, 3.0), RewiringParams(0.2, 0.5, 0.5, 0.5))
     on_scale = term_set.values[[0, 3, 6, 6, 2]]
-    assert dynamics._term_pairs(on_scale, term_set, thresholds).codes.tolist() == [0, 3, 6, 6, 2]
+    assert dynamics._term_pairs(on_scale, *args).codes.tolist() == [0, 3, 6, 6, 2]
     between = (term_set.values[1] + term_set.values[2]) / 2
     for off in (-0.25, 1.25, math.nan, between, -0.0):
         opinions = on_scale.copy()
         opinions[1] = off
-        assert dynamics._term_pairs(opinions, term_set, thresholds) is None
+        assert dynamics._term_pairs(opinions, *args) is None
 
 
 def test_step_at_the_largest_phi_builds_no_table():
     term_set = build_term_set(MAX_PHI, 1.001)
     opinions = term_set.values[[0, 9_999, 10_000, 10_001, 20_000, 10_000]]
     net = random_network(opinions.size, 0.8, np.random.default_rng(5))
-    with mock.patch.object(dynamics, "_pair_tables", wraps=dynamics._pair_tables) as tables:
+    with mock.patch.object(dynamics, "_pair_tables", wraps=dynamics._pair_tables) as tables, \
+            mock.patch.object(dynamics, "_rewire_tables", wraps=dynamics._rewire_tables) as links:
         step(opinions, net, term_set, ThreeWayThresholds(0.0, 1.0, 1.0), 0.0,
              RewiringParams(0.5, 0.5, 0.5, 0.5), np.random.default_rng(6))
     tables.assert_not_called()
+    links.assert_not_called()
+
+
+@pytest.mark.parametrize("phi", [3, 200])
+def test_step_rewires_through_the_module_name_once(phi):
+    # perfbench times rewiring by wrapping dynamics.rewire; a step that
+    # inlined it, or bound another name, would leave that layer untimed
+    term_set = build_term_set(phi, 1.01)
+    opinions = term_set.values[[0, 1, phi, phi, 2 * phi]]
+    net = random_network(opinions.size, 0.5, np.random.default_rng(5))
+    rewiring = RewiringParams(0.3, 0.6, 0.5, 0.5)
+    with mock.patch.object(dynamics, "rewire", wraps=dynamics.rewire) as rewire_:
+        step(opinions, net, term_set, ThreeWayThresholds(0.1, 0.4, 1.0), 0.0, rewiring,
+             np.random.default_rng(6))
+    rewire_.assert_called_once()
+    args = rewire_.call_args.args
+    assert args[0] is net and args[1] is opinions and args[2] is rewiring
+    # the term lookup rides along exactly when the scale's table fits a block
+    assert (args[4] is None) == (term_set.size ** 2 > network.BLOCK_PAIRS)
 
 
 @settings(max_examples=200, deadline=None)

@@ -42,6 +42,34 @@ def test_validation_rejects_bad_adjacency():
         network_from_edges(3, [(1, 1)])
 
 
+def test_validation_rejects_booleans_that_are_not_0_or_1_bytes():
+    # numpy reads any nonzero byte as True, but a byte sum would count it as 2
+    odd = np.frombuffer(bytes([0, 2, 2, 0]), dtype=bool).reshape(2, 2)
+    assert np.array_equal(odd, ~np.eye(2, dtype=bool))
+    with pytest.raises(ValueError, match="bytes are not 0 or 1"):
+        SocialNetwork(odd)
+    assert SocialNetwork(odd != 0).degrees().tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("shape, density", [((7, 9), 0.5), ((300, 1000), 0.3), ((4, 0), 0.5),
+                                            ((0, 5), 0.5), ((50, 70), 1.0), ((50, 70), 0.0)])
+def test_row_counts_match_count_nonzero(shape, density):
+    mask = np.random.default_rng(3).random(shape) < density
+    for view in (mask, mask[:, ::3], mask[::2, 1:], mask.T, np.asfortranarray(mask)):
+        counts = network.row_counts(view)
+        assert counts.dtype == np.intp
+        assert counts.tolist() == np.count_nonzero(view, axis=1).tolist()
+    with pytest.raises(TypeError, match="boolean"):
+        network.row_counts(mask.astype(np.int64))
+
+
+def test_degrees_are_intp_row_counts():
+    net = random_network(40, 0.3, np.random.default_rng(4))
+    degrees = net.degrees()
+    assert degrees.dtype == np.intp
+    assert degrees.tolist() == np.count_nonzero(net.adjacency, axis=1).tolist()
+
+
 def test_a_network_needs_at_least_one_agent(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("")
