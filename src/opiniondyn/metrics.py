@@ -37,7 +37,19 @@ def variance(opinions):
 
 
 def _variance(deviations: np.ndarray):
-    return _per_state(np.mean(deviations ** 2, axis=-1))
+    total = np.sum(deviations ** 2, axis=-1)
+    v = total / deviations.shape[-1]
+    # Squares of deviations below 2**-511 lose bits to underflow, which can turn a
+    # variance that rounds to a subnormal into 0. Such states are recomputed with
+    # the deviations scaled by an exact power of two, so only the final product
+    # rounds. A zero sum of squares needs no redo: every square then sits below
+    # 2**-1075 and so does the exact variance.
+    tiny = (total > 0.0) & (v < 2.0 ** -900)
+    if np.any(tiny):
+        v = np.array(v)  # writable; 0-d for a single state
+        scaled = deviations[tiny] * 2.0 ** 600
+        v[tiny] = np.mean(scaled ** 2, axis=-1) * 2.0 ** -600 * 2.0 ** -600
+    return _per_state(v)
 
 
 def opinion_range(opinions):

@@ -107,11 +107,14 @@ def exact_variance(opinions) -> Fraction:
 
 @given(opinions=opinions_arrays)
 @example(opinions=np.array([0.0, 8.04e-274]))
+@example(opinions=np.array([0.0, 0.0, 3.6962794059349117e-162]))
 def test_degenerate_equivalences(opinions):
     # A positive range does not imply a positive float64 variance: for
     # [0.0, 8.04e-274] the exact variance is below the smallest subnormal,
     # so its correctly rounded value is 0.0. Zero variance is therefore
-    # checked against the exact variance rounded to float.
+    # checked against the exact variance rounded to float. Conversely, for
+    # [0, 0, 3.70e-162] every squared deviation underflows to a subnormal, yet
+    # the exact variance rounds to 5e-324, so variance must not return 0.
     if opinion_range(opinions) == 0.0:
         assert variance(opinions) == 0.0
         assert consensus_index(opinions) == 1.0
@@ -127,7 +130,13 @@ def test_delta_max_symmetry(a):
 
 # Scalar references: one state at a time, each with its own all-equal guard.
 def scalar_variance(x) -> float:
-    return 0.0 if x.min() == x.max() else float(np.mean((x - x.mean()) ** 2))
+    if x.min() == x.max():
+        return 0.0
+    d = x - x.mean()
+    v = float(np.mean(d ** 2))
+    if np.sum(d ** 2) > 0.0 and v < 2.0 ** -900:  # underflowed squares: redo at a power-of-two scale
+        v = float(np.mean((d * 2.0 ** 600) ** 2)) * 2.0 ** -600 * 2.0 ** -600
+    return v
 
 
 def scalar_consensus(x, d_max) -> float:
@@ -155,6 +164,7 @@ def same_bits(a, b) -> bool:
 @settings(max_examples=200)
 @given(hist=histories(), d_max=st.sampled_from([0.5, 0.3, 1.0, 7.0]))
 @example(hist=np.array([[0.0, 8.04e-274]]), d_max=0.5)
+@example(hist=np.array([[0.0, 0.0, 3.6962794059349117e-162], [0.5, 0.5, 0.5]]), d_max=0.5)
 @example(hist=np.array([[0.3] * 5, [1 / 3] * 5, [0.1, 0.2, 0.3, 0.4, 0.5]]), d_max=0.5)
 @example(hist=np.array([[0.25], [0.75], [0.75]]), d_max=0.5)
 @example(hist=np.random.default_rng(5).random((3, 257)), d_max=0.5)
