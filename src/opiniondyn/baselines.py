@@ -14,7 +14,7 @@ from .config import SimulationConfig
 from .dynamics import StepResult, TrajectoryRecord, average, average_terms, iterate
 from .linguistic import LinguisticTermSet, nearest_terms
 from .metrics import as_opinions, delta_max
-from .network import SocialNetwork, complete_network
+from .network import SocialNetwork, complete_network, pair_distances
 
 ROW_SUM_TOL = 1e-12
 
@@ -32,7 +32,7 @@ def degroot_weights(opinions, mode: str) -> np.ndarray:
     if mode == "uniform":
         return np.full((n, n), 1.0 / n)
     if mode == "distance":
-        w = np.exp(-np.abs(x[:, None] - x[None, :]))
+        w = np.exp(-pair_distances(x, x))
         return w / w.sum(axis=1, keepdims=True)
     raise ValueError(f"unknown weight mode {mode!r}; expected 'uniform' or 'distance'")
 
@@ -59,9 +59,7 @@ def hk_confidence_set(agent: int, opinions, bound: float) -> np.ndarray:
     x = as_opinions(opinions, max_ndim=1)
     if not 0 <= agent < x.size:
         raise ValueError(f"agent {agent} out of range")
-    if not bound >= 0.0:
-        raise ValueError(f"bound must be >= 0, got {bound!r}")
-    return np.flatnonzero(np.abs(x - x[agent]) <= bound)
+    return np.flatnonzero(np.abs(x - x[agent]) <= _confidence_bounds(bound, x[agent]))
 
 
 def _confidence_bounds(bounds, x: np.ndarray) -> np.ndarray:
@@ -75,7 +73,7 @@ def _confidence_bounds(bounds, x: np.ndarray) -> np.ndarray:
 
 def _confidence_sets(x: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Row i marks the agents within agent i's bound, agent i included."""
-    return np.abs(x - x[:, None]) <= eps[:, None]
+    return pair_distances(x, x) <= eps[:, None]
 
 
 def hk_step(opinions, bounds) -> np.ndarray:

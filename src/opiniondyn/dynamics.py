@@ -109,47 +109,12 @@ def _probabilities(dist: np.ndarray, thresholds: ThreeWayThresholds) -> np.ndarr
 
 
 class _PairTables(NamedTuple):
-    """The three-way rule for every pair of term values: row term a against
-    column term b, at the distance ``|values[a] - values[b]|``. ``probs`` is 0
-    outside the hesitation zone. All three are read-only."""
-
-    accept: np.ndarray
-    hesitate: np.ndarray
-    probs: np.ndarray
-
-
-def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-@functools.lru_cache(maxsize=8)
-def _pair_tables(term_set: LinguisticTermSet, thresholds: ThreeWayThresholds) -> _PairTables:
-    """The tables of a term set, keyed by the object itself; a run, or a sweep
-    sharing its term set and thresholds, builds them once."""
-    dist = pair_distances(term_set.values, term_set.values)
-    accept, hesitate = _classes(dist, thresholds)
-    probs = np.zeros(dist.shape)
-    probs[hesitate] = _probabilities(dist[hesitate], thresholds)
-    return _PairTables(*_read_only(accept, hesitate, probs))
-
-
-@functools.lru_cache(maxsize=8)
-def _rewire_tables(term_set: LinguisticTermSet,
-                   rewiring: RewiringParams) -> tuple[np.ndarray, np.ndarray]:
-    """Rewiring's two tests for every pair of term values, read-only and cached
-    as :func:`_pair_tables`: ``close`` is ``|v_a - v_b| < delta_add`` and
-    ``far`` is ``|v_a - v_b| > delta_cut``, as :func:`~opiniondyn.network.rewire`
-    compares them per pair."""
-    dist = pair_distances(term_set.values, term_set.values)
-    return _read_only(dist < rewiring.delta_add, dist > rewiring.delta_cut)
-
-
-class _TermPairs(NamedTuple):
-    """One step's opinions as term indices, with the table rows of every agent
-    as a peer: ``accept[a, j]`` classifies agent j for an agent at term a, and
-    ``close[a, j]`` and ``far[a, j]`` are rewiring's tests of that pair."""
+    """The three-way rule and rewiring's two tests between terms, read-only
+    when cached. An agent at term a reads row a; column j of ``accept``,
+    ``hesitate``, ``close`` and ``far`` is the agent at term ``codes[j]``.
+    ``probs`` is indexed by two terms and is 0 outside the hesitation zone.
+    ``close`` is ``< delta_add`` and ``far`` is ``> delta_cut``, as
+    :func:`~opiniondyn.network.rewire` compares them."""
 
     codes: np.ndarray
     accept: np.ndarray
@@ -159,8 +124,26 @@ class _TermPairs(NamedTuple):
     far: np.ndarray
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_tables(term_set: LinguisticTermSet, thresholds: ThreeWayThresholds,
+                 rewiring: RewiringParams) -> _PairTables:
+    """The tables of every pair of terms, all from the one distance table
+    ``|values[a] - values[b]|``, with ``codes`` the terms in order. Keyed by
+    the term-set object itself, so a run, or a sweep sharing its term set,
+    thresholds and rewiring parameters, builds them once."""
+    dist = pair_distances(term_set.values, term_set.values)
+    accept, hesitate = _classes(dist, thresholds)
+    probs = np.zeros(dist.shape)
+    probs[hesitate] = _probabilities(dist[hesitate], thresholds)
+    tables = _PairTables(np.arange(term_set.size), accept, hesitate, probs,
+                         dist < rewiring.delta_add, dist > rewiring.delta_cut)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _term_pairs(opinions: np.ndarray, term_set: LinguisticTermSet,
-                thresholds: ThreeWayThresholds, rewiring: RewiringParams) -> _TermPairs | None:
+                thresholds: ThreeWayThresholds, rewiring: RewiringParams) -> _PairTables | None:
     """The lookup of a step whose opinions all hold the bits of a term value,
     on a scale whose table of term pairs fits in one row block; else None."""
     values = term_set.values
@@ -170,11 +153,9 @@ def _term_pairs(opinions: np.ndarray, term_set: LinguisticTermSet,
     # NaN and values above the last term sort past it; clipped onto it, they differ
     if values.take(codes, mode="clip").tobytes() != opinions.tobytes():
         return None
-    tables = _pair_tables(term_set, thresholds)
-    close, far = _rewire_tables(term_set, rewiring)
-    return _TermPairs(codes, tables.accept.take(codes, axis=1),
-                      tables.hesitate.take(codes, axis=1), tables.probs,
-                      close.take(codes, axis=1), far.take(codes, axis=1))
+    t = _pair_tables(term_set, thresholds, rewiring)
+    return _PairTables(codes, t.accept.take(codes, axis=1), t.hesitate.take(codes, axis=1),
+                       t.probs, t.close.take(codes, axis=1), t.far.take(codes, axis=1))
 
 
 def _filter_links(
@@ -183,7 +164,7 @@ def _filter_links(
     links: np.ndarray,
     thresholds: ThreeWayThresholds,
     rng: np.random.Generator,
-    pairs: _TermPairs | None = None,
+    pairs: _PairTables | None = None,
 ) -> np.ndarray:
     """Three-way filter over the link rows of the agents ``rows``; returns the
     accepted links.
@@ -228,8 +209,11 @@ def filter_neighbors(
 
     Only connected peers are candidates (never the agent itself); each is
     classified by the three-way rule, so uniform draws happen exactly for
-    hesitation-zone neighbors, in ascending index order.
+    hesitation-zone neighbors, in ascending index order. An agent outside
+    ``[0, N)`` is rejected before any draw.
     """
+    if not 0 <= agent < net.size:
+        raise ValueError(f"agent {agent} out of range")
     opinions = np.asarray(opinions, dtype=float)
     row = slice(agent, agent + 1)
     if counters is not None:

@@ -285,22 +285,24 @@ def rewire(
 # ascending pair order; blank lines and '#' comments are ignored on read.
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _edge_labels(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only "j " and "j\\n" labels of agents 0..n-1, as fixed-width
-    bytes padded on the left with NULs to the width of n-1."""
-    width = len(str(n - 1)) + 1
-    return tuple(np.frombuffer(b"".join(f"{j}{end}".encode().rjust(width, b"\0")
-                                        for j in range(n)), dtype=f"S{width}")
-                 for end in " \n")
+@functools.lru_cache(maxsize=16)
+def index_labels(n: int, end: str) -> np.ndarray:
+    """Read-only "i<end>" labels of 0..n-1 as fixed-width bytes, padded on
+    the right with NULs to the width of n-1's label: the "j " and "j\\n" of
+    edge lines and the "i," of the trajectory tables. Text joined from them
+    is the labels once the NULs are stripped."""
+    labels = np.fromiter((f"{i}{end}".encode() for i in range(n)), f"S{len(str(n - 1)) + 1}", n)
+    labels.setflags(write=False)
+    return labels
 
 
 def _edge_chunks(net: SocialNetwork):
     """The edge lines of each row block of the upper triangle, as bytes: the
-    labels of each edge's row and column side by side, padding stripped. Only
-    a block that starts below the first label of full width holds padding."""
+    labels of each edge's row and column side by side, padding stripped. A
+    block that starts at the first label of full width or later holds no
+    padding: its rows and columns all have full-width labels."""
     n = net.size
-    row_labels, col_labels = _edge_labels(n)
+    row_labels, col_labels = index_labels(n, " "), index_labels(n, "\n")
     padded = 10 ** (len(str(n - 1)) - 1)
     for rows in row_blocks(n):
         first = rows.start + 1

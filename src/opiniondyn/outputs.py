@@ -8,7 +8,6 @@ The manifest is the only file carrying the seed and a timestamp.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from datetime import datetime, timezone
@@ -19,7 +18,7 @@ import numpy as np
 from . import __version__
 from .dynamics import TrajectoryRecord
 from .metrics import cluster_count
-from .network import save_edge_list
+from .network import index_labels, save_edge_list
 
 OPINIONS_FILE = "opinions.csv"
 TERMS_FILE = "terms.csv"
@@ -51,14 +50,6 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 BLOCK_ROWS = 1 << 12
 
 
-@functools.lru_cache(maxsize=8)
-def _index_labels(n: int) -> np.ndarray:
-    """Read-only "i," labels of 0..n-1, NUL-padded to one width."""
-    labels = np.fromiter((f"{i},".encode() for i in range(n)), f"S{len(str(n - 1)) + 1}", n)
-    labels.setflags(write=False)
-    return labels
-
-
 def _cell_labels(cells: np.ndarray, end: str) -> np.ndarray:
     """The "x<end>" label of each float64 or int64 cell, NUL-padded to one
     width. repr runs once per distinct 64-bit pattern, so 0.0 and -0.0 keep
@@ -78,7 +69,7 @@ def _table_chunks(*columns: np.ndarray):
     A block is a structured array of fixed-width labels, one row per cell;
     its bytes are the CSV text once the padding is stripped."""
     n_iterations, n = columns[0].shape
-    iteration_labels, agent_labels = _index_labels(n_iterations), _index_labels(n)
+    iteration_labels, agent_labels = index_labels(n_iterations, ","), index_labels(n, ",")
     ends = [","] * (len(columns) - 1) + ["\r\n"]
     per_block = max(1, BLOCK_ROWS // n)
     for first in range(0, n_iterations, per_block):

@@ -209,12 +209,14 @@ def test_baselines_stop_by_the_shared_rule(reference_values):
 
 @pytest.mark.parametrize("call,message", [
     (lambda: hk_confidence_set(0, [0.1, 0.2], math.nan), "bound"),
+    (lambda: hk_confidence_set(0, [0.1, 0.2], 1.5), "bounds"),
+    (lambda: hk_confidence_set(0, [0.1, 0.2], math.inf), "bounds"),
     (lambda: hk_step([0.1, 0.2, 0.3], [0.2, math.nan, 0.2]), "bounds"),
     (lambda: hk_step([0.1, 0.2], [0.2, 1.5]), "bounds"),
     (lambda: hk_run([0.1, 0.2, 0.3], [math.nan] * 3, TS), "bounds"),
     (lambda: degroot_step([0.1, 0.9], [[0.5, 0.5], [math.nan, math.nan]]), "weights"),
     (lambda: cluster_count([0.1, 0.9], math.nan), "tolerance"),
-], ids=["confidence-set", "hk-step-nan", "hk-step-above-1", "hk-run", "degroot-step",
+], ids=["confidence-set", "confidence-set-above-1", "confidence-set-inf", "hk-step-nan", "hk-step-above-1", "hk-run", "degroot-step",
         "cluster-count"])
 def test_nan_and_out_of_range_bounds_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from opiniondyn import cli, outputs
+from opiniondyn import cli, dynamics, outputs
 from opiniondyn.config import ConfigError, load_config
 from opiniondyn.outputs import write_trajectory
 from conftest import REFERENCE_TERMS
@@ -208,6 +208,17 @@ def test_sweep_deterministic_config_rows_differ_only_in_seed(tmp_path):
     stripped = [{k: v for k, v in r.items() if k != "seed"} for r in rows]
     assert all(r == stripped[0] for r in stripped)
     assert all(r["error"] == "" for r in rows)
+
+
+def test_sweep_builds_the_term_pair_tables_once(tmp_path):
+    # every seed's config shares the term set, thresholds and rewiring
+    # parameters that key the cache, so only the first step builds tables
+    config = load_config(write_config(tmp_path))
+    dynamics._pair_tables.cache_clear()
+    cli.cmd_sweep(config, [1, 2, 3, 4, 5], tmp_path / "sw")
+    assert all(r["error"] == "" for r in read_rows(tmp_path / "sw" / "sweep.csv"))
+    info = dynamics._pair_tables.cache_info()
+    assert (info.misses, info.hits > 0) == (1, True)
 
 
 def test_sweep_records_per_seed_failures(tmp_path, monkeypatch):

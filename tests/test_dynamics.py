@@ -40,6 +40,15 @@ def test_filter_zero_distance_accepts_all_linked():
     assert list(acc) == [0, 1, 3, 4]
 
 
+@pytest.mark.parametrize("agent", [-2, -1, 4])
+def test_filter_rejects_an_agent_out_of_range_before_any_draw(agent):
+    # agent 2 would draw for its hesitation-zone neighbors 0 and 3
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError, match=f"agent {agent} out of range"):
+        filter_neighbors(agent, np.array([0.1, 0.35, 0.5, 0.9]), complete_network(4), THRESH, rng)
+    assert rng.random() == np.random.default_rng(3).random()
+
+
 def test_filter_mixed_regions_is_rng_independent():
     net = network_from_edges(3, [(0, 1), (0, 2)])
     opinions = np.array([0.0, 0.2, 0.9])

@@ -248,8 +248,8 @@ def test_term_tables_hold_the_scalar_rule_and_are_read_only():
     v = term_set.values.tolist()
     # deltas equal to a term distance put pairs on both sides of the strict tests
     rewiring = RewiringParams(abs(v[1] - v[3]), abs(v[2] - v[5]), 0.5, 0.5)
-    tables = dynamics._pair_tables(term_set, thresholds)
-    close, far = dynamics._rewire_tables(term_set, rewiring)
+    tables = dynamics._pair_tables(term_set, thresholds, rewiring)
+    close, far = tables.close, tables.far
     for a in range(term_set.size):
         for b in range(term_set.size):
             d = abs(v[a] - v[b])
@@ -261,7 +261,8 @@ def test_term_tables_hold_the_scalar_rule_and_are_read_only():
             assert far[a, b] == (d > rewiring.delta_cut)
     # a distance equal to the delta is neither closer nor farther
     assert not (close[1, 3] or close[3, 1] or far[2, 5] or far[5, 2])
-    for table in (*tables, close, far):
+    assert tables.codes.tolist() == list(range(term_set.size))
+    for table in tables[1:]:
         assert table.shape == (term_set.size, term_set.size)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -270,13 +271,12 @@ def test_term_tables_hold_the_scalar_rule_and_are_read_only():
 
 def test_term_table_cache_is_bounded():
     term_set = build_term_set(2, 2.0)
-    for tables, key in ((dynamics._pair_tables, lambda k: ThreeWayThresholds(k / 100, 0.5, 1.0)),
-                        (dynamics._rewire_tables, lambda k: RewiringParams(k / 100, 0.5, 0.5, 0.5))):
-        limit = tables.cache_info().maxsize
-        assert limit is not None
-        for k in range(limit + 5):
-            tables(term_set, key(k))
-        assert tables.cache_info().currsize <= limit
+    tables = dynamics._pair_tables
+    limit = tables.cache_info().maxsize
+    assert limit is not None
+    for k in range(limit + 5):
+        tables(term_set, ThreeWayThresholds(k / 100, 0.5, 1.0), RewiringParams(k / 100, 0.5, 0.5, 0.5))
+    assert tables.cache_info().currsize <= limit
 
 
 def test_term_tables_need_every_opinion_on_the_scale():
@@ -295,12 +295,10 @@ def test_step_at_the_largest_phi_builds_no_table():
     term_set = build_term_set(MAX_PHI, 1.001)
     opinions = term_set.values[[0, 9_999, 10_000, 10_001, 20_000, 10_000]]
     net = random_network(opinions.size, 0.8, np.random.default_rng(5))
-    with mock.patch.object(dynamics, "_pair_tables", wraps=dynamics._pair_tables) as tables, \
-            mock.patch.object(dynamics, "_rewire_tables", wraps=dynamics._rewire_tables) as links:
+    with mock.patch.object(dynamics, "_pair_tables", wraps=dynamics._pair_tables) as tables:
         step(opinions, net, term_set, ThreeWayThresholds(0.0, 1.0, 1.0), 0.0,
              RewiringParams(0.5, 0.5, 0.5, 0.5), np.random.default_rng(6))
     tables.assert_not_called()
-    links.assert_not_called()
 
 
 @pytest.mark.parametrize("phi", [3, 200])
