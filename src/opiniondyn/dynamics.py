@@ -87,9 +87,9 @@ class TrajectoryRecord:
         degrees = np.array([net.degrees() for net in networks])
         return cls(
             values=values, terms=np.array([s.terms for s in states], dtype=int), networks=networks,
-            variance=var, opinion_range=rng_, consensus=cons,
-            avg_degree=degrees.mean(axis=1), isolated=(degrees == 0).sum(axis=1), delta_max=dmax,
-            converged=converged, iterations=values.shape[0] - 1,
+            variance=var, opinion_range=rng_, consensus=cons, delta_max=dmax, converged=converged,
+            avg_degree=np.add.reduce(degrees, 1, float) / degrees.shape[1],  # mean(axis=1)
+            isolated=np.add.reduce(degrees == 0, 1), iterations=values.shape[0] - 1,
         )
 
 
@@ -210,16 +210,19 @@ def filter_neighbors(
     Only connected peers are candidates (never the agent itself); each is
     classified by the three-way rule, so uniform draws happen exactly for
     hesitation-zone neighbors, in ascending index order. An agent outside
-    ``[0, N)`` is rejected before any draw.
+    ``[0, N)``, or opinions of any shape but ``(N,)``, are rejected before
+    any draw.
     """
     if not 0 <= agent < net.size:
         raise ValueError(f"agent {agent} out of range")
     opinions = np.asarray(opinions, dtype=float)
+    if opinions.shape != (net.size,):
+        raise ValueError(f"expected {net.size} opinions, got shape {opinions.shape}")
     row = slice(agent, agent + 1)
     if counters is not None:
         counters.filter_visits += int(np.count_nonzero(net.adjacency[row]))
     accepted = _filter_links(row, opinions, net.adjacency[row], thresholds, rng)
-    return np.flatnonzero(accepted[0])
+    return accepted[0].nonzero()[0]
 
 
 def update_value(current: float, accepted, opinions: np.ndarray, inertia: float) -> float:
@@ -229,16 +232,19 @@ def update_value(current: float, accepted, opinions: np.ndarray, inertia: float)
     value is inertia*current + (1-inertia)*mean(accepted opinions); the
     agent's own opinion enters only through inertia. Guards keep the result
     exact when all accepted opinions coincide, so full consensus is a true
-    fixed point in floating point.
+    fixed point in floating point. ``accepted`` holds agent indices; a
+    boolean mask is rejected.
     """
     if not 0.0 <= inertia <= 1.0:
         raise ValueError(f"inertia must lie in [0, 1], got {inertia!r}")
-    accepted = np.asarray(accepted, dtype=int)
+    accepted = np.asarray(accepted)
     if accepted.size == 0:
         return float(current)
-    vals = opinions[accepted]
-    lo, hi = vals.min(), vals.max()
-    mean = float(lo) if lo == hi else float(vals.mean())
+    if accepted.dtype == np.bool_:  # a mask would be read as the indices 0 and 1
+        raise TypeError("accepted must hold agent indices, not a boolean mask")
+    vals = opinions[accepted.astype(int, copy=False)]
+    lo, hi = np.minimum.reduce(vals, None), np.maximum.reduce(vals, None)
+    mean = float(lo) if lo == hi else float(np.add.reduce(vals, None, float) / vals.size)  # mean()
     if inertia == 0.0:
         return mean
     if mean == current:
@@ -249,7 +255,7 @@ def update_value(current: float, accepted, opinions: np.ndarray, inertia: float)
 def _average_rows(opinions: np.ndarray, listens: np.ndarray, inertia: float,
                   rows: np.ndarray) -> np.ndarray:
     """:func:`average` of the given agents only, in the order given."""
-    return np.array([update_value(opinions[i], np.flatnonzero(listens[i]), opinions, inertia)
+    return np.array([update_value(opinions[i], listens[i].nonzero()[0], opinions, inertia)
                      for i in rows.tolist()], dtype=float)
 
 
@@ -305,7 +311,8 @@ def average_terms(
     terms = np.empty(n, dtype=np.intp)
     recheck = np.arange(n)
     # NaN fails the range test too; an empty state has nothing to certify
-    if 0.0 <= inertia <= 1.0 and n and opinions.min() >= 0.0 and opinions.max() <= 1.0:
+    if (0.0 <= inertia <= 1.0 and n and np.minimum.reduce(opinions) >= 0.0
+            and np.maximum.reduce(opinions) <= 1.0):
         counts = row_counts(listens)
         sums = np.empty(n)
         for rows in row_blocks(n):
@@ -315,8 +322,8 @@ def average_terms(
         estimate = means if inertia == 0.0 else inertia * opinions + (1.0 - inertia) * means
         slack = (2 * counts + 16) * EPS
         mids = term_set.midpoints
-        terms = np.searchsorted(mids, estimate - slack)
-        recheck = np.flatnonzero(terms != np.searchsorted(mids, estimate + slack, side="right"))
+        terms = mids.searchsorted(estimate - slack)
+        recheck = (terms != mids.searchsorted(estimate + slack, "right")).nonzero()[0]
     if recheck.size:
         terms[recheck] = nearest_terms(term_set, _average_rows(opinions, listens, inertia, recheck))
     if counters is not None:
@@ -350,7 +357,7 @@ def step(
     # others average, then map back to the nearest linguistic term, whose
     # value becomes the carried state, so opinions always sit on the term
     # scale (matching the reported term-valued metrics).
-    movers = accepted.any(axis=1)
+    movers = np.logical_or.reduce(accepted, 1)
     new_terms = average_terms(opinions, accepted, inertia, term_set, counters)
     del accepted
     new_values = np.where(movers, term_set.values[new_terms], opinions)

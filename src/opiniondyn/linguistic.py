@@ -94,7 +94,7 @@ def nearest_terms(term_set: LinguisticTermSet, values) -> np.ndarray:
     """
     x = np.asarray(values, dtype=float)
     inside = (x >= 0.0) & (x <= 1.0)
-    if not np.all(inside):
+    if not np.logical_and.reduce(inside, None):
         raise ValueError(f"value {float(x[~inside].flat[0])!r} outside [0, 1]")
     # A rounded |x - v| never shrinks as v moves away from x, so the first
     # minimum is the last term below x or the first at or above it, unless a
@@ -103,7 +103,7 @@ def nearest_terms(term_set: LinguisticTermSet, values) -> np.ndarray:
     # so for x > 0.5 the term below x is >= x/2 and its distance is exact, and
     # below 0.25 the gap after term j is at least base^-j/(2*phi) > 1/(4*phi).
     v = term_set.values
-    below = np.searchsorted(v[1:-1], x)  # the last term below x; 0 at x = 0
+    below = v[1:-1].searchsorted(x)  # the last term below x; 0 at x = 0
     # v[below] <= x <= v[below + 1], so both differences are the distances
     return np.where(v[1:][below] - x < x - v[below], below + 1, below)
 

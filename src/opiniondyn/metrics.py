@@ -1,5 +1,6 @@
 """Consensus measurement: dispersion, extremes, normalized agreement, clusters.
-All but cluster_count take a state (giving a float) or a history, one state per row."""
+All but cluster_count take a state (giving a float) or a history, one state per row.
+Reductions call numpy's ufunc kernels, not its slower Python-level wrappers."""
 
 from __future__ import annotations
 
@@ -26,9 +27,9 @@ def _per_state(values: np.ndarray):
 def _deviations(arr: np.ndarray) -> np.ndarray:
     """Each opinion minus its state's mean; exactly 0 in an all-equal state
     (np.mean of identical values can be an ulp off, leaving a spurious residual)."""
-    spread = arr.min(axis=-1, keepdims=True) != arr.max(axis=-1, keepdims=True)
-    return np.subtract(arr, arr.mean(axis=-1, keepdims=True), out=np.zeros_like(arr),
-                       where=spread)
+    spread = np.minimum.reduce(arr, -1, keepdims=True) != np.maximum.reduce(arr, -1, keepdims=True)
+    return np.subtract(arr, np.add.reduce(arr, -1, keepdims=True) / arr.shape[-1],
+                       out=np.zeros(arr.shape), where=spread)
 
 
 def variance(opinions):
@@ -37,7 +38,7 @@ def variance(opinions):
 
 
 def _variance(deviations: np.ndarray):
-    total = np.sum(deviations ** 2, axis=-1)
+    total = np.add.reduce(deviations ** 2, -1)
     v = total / deviations.shape[-1]
     # Squares of deviations below 2**-511 lose bits to underflow, which can turn a
     # variance that rounds to a subnormal into 0. Such states are recomputed with
@@ -45,17 +46,17 @@ def _variance(deviations: np.ndarray):
     # rounds. A zero sum of squares needs no redo: every square then sits below
     # 2**-1075 and so does the exact variance.
     tiny = (total > 0.0) & (v < 2.0 ** -900)
-    if np.any(tiny):
+    if np.logical_or.reduce(tiny, None):
         v = np.array(v)  # writable; 0-d for a single state
         scaled = deviations[tiny] * 2.0 ** 600
-        v[tiny] = np.mean(scaled ** 2, axis=-1) * 2.0 ** -600 * 2.0 ** -600
+        v[tiny] = np.add.reduce(scaled ** 2, -1) / scaled.shape[-1] * 2.0 ** -600 * 2.0 ** -600
     return _per_state(v)
 
 
 def opinion_range(opinions):
     """Max minus min; 0 means complete consensus."""
     arr = as_opinions(opinions)
-    return _per_state(arr.max(axis=-1) - arr.min(axis=-1))
+    return _per_state(np.maximum.reduce(arr, -1) - np.minimum.reduce(arr, -1))
 
 
 def consensus_index(opinions, d_max: float = 0.5):
@@ -72,7 +73,7 @@ def _consensus(deviations: np.ndarray, d_max: float):
     # Only a subnormal d_max overflows: the mean absolute deviation is <= 0.5.
     if not d_max >= sys.float_info.min:
         raise ValueError(f"d_max must be >= {sys.float_info.min!r}, got {d_max!r}")
-    return _per_state(1.0 - np.mean(np.abs(deviations), axis=-1) / d_max)
+    return _per_state(1.0 - np.add.reduce(np.abs(deviations), -1) / deviations.shape[-1] / d_max)
 
 
 def cluster_count(opinions, tolerance: float) -> int:
@@ -80,12 +81,16 @@ def cluster_count(opinions, tolerance: float) -> int:
 
     Opinions are sorted; a new cluster starts at every gap between
     consecutive values that exceeds ``tolerance``. Chained sub-tolerance
-    gaps merge transitively. tolerance = 0 counts distinct values.
+    gaps merge transitively. tolerance = 0 counts distinct values. NaN
+    opinions are rejected: a NaN gap would compare False and vanish.
     """
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
-    arr = np.sort(as_opinions(opinions, max_ndim=1))
-    return 1 + int(np.sum(np.diff(arr) > tolerance))
+    arr = as_opinions(opinions, max_ndim=1).copy()
+    arr.sort()
+    if np.isnan(arr[-1]):  # sorting puts any NaN last
+        raise ValueError("opinions must not be NaN")
+    return 1 + int(np.add.reduce(arr[1:] - arr[:-1] > tolerance))
 
 
 def delta_max(previous, current):
@@ -94,7 +99,7 @@ def delta_max(previous, current):
     curr = np.asarray(current, dtype=float)
     if prev.shape != curr.shape:
         raise ValueError(f"length mismatch: {prev.shape} vs {curr.shape}")
-    return _per_state(np.max(np.abs(curr - prev), axis=-1))
+    return _per_state(np.maximum.reduce(np.abs(curr - prev), -1))
 
 
 def trajectory_metrics(states, d_max: float):

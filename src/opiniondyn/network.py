@@ -146,6 +146,8 @@ def centrality(net: SocialNetwork, vertex: int) -> float:
     n = net.size
     if n < 2:
         raise ValueError("centrality requires at least 2 agents")
+    if isinstance(vertex, (bool, np.bool_)):  # adjacency[True] would add an axis
+        raise TypeError("vertex must be an index, not a boolean")
     if not 0 <= vertex < n:
         raise ValueError(f"vertex {vertex} out of range")
     return int(net.adjacency[vertex].sum()) / (n - 1)
@@ -208,9 +210,11 @@ def random_network(n: int, edge_prob: float, rng: np.random.Generator) -> Social
         raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob!r}")
     adj = np.zeros((n, n), dtype=bool)
     for rows in row_blocks(n):
-        upper = np.ones((rows.stop - rows.start, n - rows.start - 1), dtype=bool)
-        _mask_below_diagonal(upper)
-        adj[rows, rows.start + 1:][upper] = rng.random(np.count_nonzero(upper)) < edge_prob
+        k, width = rows.stop - rows.start, n - rows.start - 1
+        upper = np.empty((k, width), dtype=bool)
+        upper.fill(True)
+        _mask_below_diagonal(upper)  # clears k(k-1)/2 pairs
+        adj[rows, rows.start + 1:][upper] = rng.random(k * width - k * (k - 1) // 2) < edge_prob
     adj |= adj.T
     return SocialNetwork._built(adj)
 
@@ -242,7 +246,8 @@ def rewire(
     opinions = np.asarray(opinions, dtype=float)
     if opinions.shape != (n,):
         raise ValueError(f"expected {n} opinions, got shape {opinions.shape}")
-    if not (opinions.min() >= 0.0 and opinions.max() <= 1.0):  # NaN fails too
+    # NaN fails too: the reductions propagate it
+    if not (np.minimum.reduce(opinions) >= 0.0 and np.maximum.reduce(opinions) <= 1.0):
         raise ValueError("opinions must lie in [0, 1]")
 
     old = net.adjacency
