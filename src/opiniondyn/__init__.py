@@ -13,7 +13,6 @@ from .baselines import (
     degroot_run,
     degroot_step,
     degroot_weights,
-    hk_confidence_set,
     hk_run,
     hk_step,
 )
@@ -21,7 +20,6 @@ from .config import ConfigError, InitialNetworkSpec, SimulationConfig, config_fr
 from .dynamics import (
     StepCounters,
     TrajectoryRecord,
-    filter_neighbors,
     run,
     step,
     update_value,
@@ -45,26 +43,13 @@ from .metrics import (
     variance,
 )
 from .network import (
-    NetworkStats,
     RewiringParams,
     SocialNetwork,
-    centrality,
     complete_network,
-    density,
     empty_network,
-    load_network,
     network_from_edges,
     random_network,
     rewire,
     save_edge_list,
-    stats,
 )
-from .threeway import (
-    LossMatrix,
-    ThreeWayRegion,
-    ThreeWayThresholds,
-    acceptance_probability,
-    bayes_region,
-    classify_neighbor,
-    expected_losses,
-)
+from .threeway import ThreeWayThresholds

@@ -54,14 +54,6 @@ def degroot_step(opinions, weights: np.ndarray) -> np.ndarray:
     return w @ x
 
 
-def hk_confidence_set(agent: int, opinions, bound: float) -> np.ndarray:
-    """Indices within the agent's confidence bound, the agent itself included."""
-    x = as_opinions(opinions, max_ndim=1)
-    if not 0 <= agent < x.size:
-        raise ValueError(f"agent {agent} out of range")
-    return np.flatnonzero(np.abs(x - x[agent]) <= _confidence_bounds(bound, x[agent]))
-
-
 def _confidence_bounds(bounds, x: np.ndarray) -> np.ndarray:
     eps = np.asarray(bounds, dtype=float)
     if eps.shape != x.shape:

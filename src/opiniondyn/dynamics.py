@@ -169,12 +169,13 @@ def _filter_links(
     """Three-way filter over the link rows of the agents ``rows``; returns the
     accepted links.
 
-    Each link is classified as :func:`~opiniondyn.threeway.classify_neighbor`
-    would, with one uniform draw per hesitation-zone link, all taken in one
-    batch in row-major order. Acceptance probabilities come from ``math.exp``
-    of the same exponents, so every comparison matches the scalar rule bit for
-    bit. With ``pairs``, the classes and probabilities are read from the term
-    tables, which hold those same floats for every pair of term values.
+    A link at distance d is accepted if d <= alpha and rejected if d >= beta;
+    any other link, NaN included, takes one uniform draw and is accepted when
+    it falls below ``math.exp(-decay * (d - alpha))``. The draws are taken in
+    one batch in row-major order, as the scalar rule in ``tests/oracles.py``
+    takes them link by link. With ``pairs``, the classes and probabilities
+    are read from the term tables, which hold those same floats for every
+    pair of term values.
     """
     if pairs is None:
         dist = pair_distances(opinions[rows], opinions)
@@ -195,34 +196,6 @@ def _filter_links(
     # Hesitant links are not yet accepted, so each outcome lands in place.
     accepted.ravel()[drawn] = rng.random(drawn.size) < probs
     return accepted
-
-
-def filter_neighbors(
-    agent: int,
-    opinions: np.ndarray,
-    net: SocialNetwork,
-    thresholds: ThreeWayThresholds,
-    rng: np.random.Generator,
-    counters: StepCounters | None = None,
-) -> np.ndarray:
-    """Indices of the agent's accepted neighbors, in ascending order.
-
-    Only connected peers are candidates (never the agent itself); each is
-    classified by the three-way rule, so uniform draws happen exactly for
-    hesitation-zone neighbors, in ascending index order. An agent outside
-    ``[0, N)``, or opinions of any shape but ``(N,)``, are rejected before
-    any draw.
-    """
-    if not 0 <= agent < net.size:
-        raise ValueError(f"agent {agent} out of range")
-    opinions = np.asarray(opinions, dtype=float)
-    if opinions.shape != (net.size,):
-        raise ValueError(f"expected {net.size} opinions, got shape {opinions.shape}")
-    row = slice(agent, agent + 1)
-    if counters is not None:
-        counters.filter_visits += int(np.count_nonzero(net.adjacency[row]))
-    accepted = _filter_links(row, opinions, net.adjacency[row], thresholds, rng)
-    return accepted[0].nonzero()[0]
 
 
 def update_value(current: float, accepted, opinions: np.ndarray, inertia: float) -> float:

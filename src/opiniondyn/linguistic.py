@@ -47,9 +47,9 @@ def build_term_set(phi: int, base: float) -> LinguisticTermSet:
     which is 0 at j=0, exactly 0.5 at j=phi, 1 at j=2*phi, strictly
     increasing, and symmetric: value[j] + value[2*phi - j] = 1.
     """
-    if not isinstance(phi, (int, np.integer)) or not 1 <= phi <= MAX_PHI:
+    phi = _integer(phi, "phi")  # a numpy integer would make base**phi overflow to inf
+    if not 1 <= phi <= MAX_PHI:
         raise ValueError(f"phi must be an integer in [1, {MAX_PHI}], got {phi!r}")
-    phi = int(phi)  # a numpy integer would make base**phi overflow to inf, not raise
     if not base > 1.0:
         # base = 1 collapses the denominator 2*(base^phi - 1) to zero
         raise ValueError(f"base must be > 1, got {base!r}")
@@ -75,10 +75,19 @@ def build_term_set(phi: int, base: float) -> LinguisticTermSet:
     return LinguisticTermSet(phi=phi, base=base, values=values, midpoints=midpoints)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``. Anything but an int or a numpy integer, or a
+    bool, is a TypeError: ``int()`` would truncate 2.5 and read True as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int or a numpy integer, got {value!r}")
+    return int(value)
+
+
 def _check_index(term_set: LinguisticTermSet, index: int) -> int:
+    index = _integer(index, "term index")
     if not 0 <= index <= 2 * term_set.phi:
         raise ValueError(f"term index {index} out of range [0, {2 * term_set.phi}]")
-    return int(index)
+    return index
 
 
 def term_value(term_set: LinguisticTermSet, index: int) -> float:

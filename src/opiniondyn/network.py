@@ -1,4 +1,4 @@
-"""Symmetric social networks: structural metrics, random generation, rewiring.
+"""Symmetric social networks: random generation, rewiring and the edge-list writer.
 
 Networks are boolean adjacency matrices without self-loops. All operations
 treat a network as an immutable snapshot; :func:`rewire` returns a new one.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -97,13 +96,6 @@ class RewiringParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
 
 
-@dataclass(frozen=True)
-class NetworkStats:
-    average_degree: float
-    isolated_count: int
-    density: float
-
-
 def empty_network(n: int) -> SocialNetwork:
     _check_size(n)
     return SocialNetwork(np.zeros((n, n), dtype=bool))
@@ -127,42 +119,6 @@ def network_from_edges(n: int, edges) -> SocialNetwork:
             raise ValueError(f"self-loop ({i}, {j}) not allowed")
         adj[i, j] = adj[j, i] = True
     return SocialNetwork(adj)
-
-
-def density(net: SocialNetwork) -> float:
-    """Edges present divided by the N*(N-1)/2 possible undirected edges."""
-    n = net.size
-    if n < 2:
-        raise ValueError("density requires at least 2 agents")
-    return net.edge_count / (n * (n - 1) / 2)
-
-
-def centrality(net: SocialNetwork, vertex: int) -> float:
-    """Degree centrality in [0, 1].
-
-    With a symmetric adjacency, in- and out-degree coincide, so the
-    (in + out) / (2*(N-1)) definition collapses to degree / (N-1).
-    """
-    n = net.size
-    if n < 2:
-        raise ValueError("centrality requires at least 2 agents")
-    if isinstance(vertex, (bool, np.bool_)):  # adjacency[True] would add an axis
-        raise TypeError("vertex must be an index, not a boolean")
-    if not 0 <= vertex < n:
-        raise ValueError(f"vertex {vertex} out of range")
-    return int(net.adjacency[vertex].sum()) / (n - 1)
-
-
-def stats(net: SocialNetwork) -> NetworkStats:
-    """Average degree, isolated-vertex count, and density (0 when N < 2)."""
-    n = net.size
-    deg = net.degrees()
-    dens = density(net) if n >= 2 else 0.0
-    return NetworkStats(
-        average_degree=float(deg.mean()),
-        isolated_count=int((deg == 0).sum()),
-        density=dens,
-    )
 
 
 # Pairwise passes work on blocks of whole rows holding about this many pairs,
@@ -287,7 +243,7 @@ def rewire(
 
 # ---------------------------------------------------------------------------
 # Edge-list text format: one "i j" line per undirected edge, 0-based indices,
-# ascending pair order; blank lines and '#' comments are ignored on read.
+# ascending pair order.
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
@@ -324,32 +280,8 @@ def _edge_chunks(net: SocialNetwork):
         yield text.translate(None, b"\0") if rows.start < padded else text
 
 
-def format_edge_list(net: SocialNetwork) -> str:
-    return b"".join(_edge_chunks(net)).decode("ascii")
-
-
-def parse_edge_list(text: str) -> list[tuple[int, int]]:
-    edges = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'i j', got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return edges
-
-
 def save_edge_list(net: SocialNetwork, path) -> None:
     """Write the edge list one row block of about BLOCK_PAIRS pairs at a time,
     so the text of the whole network is never held in memory at once."""
     with open(path, "wb") as fh:
         fh.writelines(_edge_chunks(net))
-
-
-def load_network(path, n: int) -> SocialNetwork:
-    return network_from_edges(n, parse_edge_list(Path(path).read_text()))

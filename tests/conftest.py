@@ -1,9 +1,24 @@
-"""Shared data for the test suite: the 20-agent reference scenario."""
+"""Shared data for the test suite: the 20-agent reference scenario, and the
+Hypothesis profiles.
+
+The default profile, ``tier1``, draws the same examples on every run, so a
+test goes red only when the code under it changes. ``explore`` draws fresh
+examples on every run, 1,000 (ten times the default) for each test that does
+not fix its own count. Select it with ``HYPOTHESIS_PROFILE=explore``, and pin
+what it finds as an ``@example`` on the failing test.
+"""
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from opiniondyn import build_term_set
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 # Initial linguistic opinions of the 20-agent worked example, as term indices.
 REFERENCE_TERMS = [0, 3, 6, 0, 0, 0, 5, 3, 3, 3, 5, 1, 0, 5, 3, 0, 4, 3, 4, 3]

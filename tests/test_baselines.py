@@ -12,12 +12,12 @@ from opiniondyn import (
     degroot_run,
     degroot_step,
     degroot_weights,
-    hk_confidence_set,
     hk_run,
     hk_step,
     nearest_term,
 )
 from conftest import HETERO_CASE1, HETERO_CASE2, HETERO_CASE3
+from oracles import hk_confidence_set
 
 TS = build_term_set(3, 2)
 

@@ -11,7 +11,6 @@ from opiniondyn import (
     build_term_set,
     complete_network,
     empty_network,
-    filter_neighbors,
     nearest_term,
     network_from_edges,
     random_network,
@@ -21,6 +20,7 @@ from opiniondyn import (
 )
 from opiniondyn.dynamics import average
 from conftest import REFERENCE_TERMS
+from oracles import filter_neighbors
 
 THRESH = ThreeWayThresholds(alpha=0.3, beta=0.6, decay=10.0)
 NO_REWIRE = RewiringParams(delta_add=0.15, delta_cut=0.45, p_add=0.0, p_cut=0.0)

@@ -1,10 +1,10 @@
 """The batched step kernel against scalar reference loops.
 
 The loops below restate the documented model one decision and one draw at
-a time, from the scalar primitives ``classify_neighbor`` and ``update_value``
-and a brute-force nearest-term scan. The batched ``step``, ``filter_neighbors``,
-``rewire``, ``random_network``, ``nearest_terms`` and ``hk_step`` must match
-them exactly:
+a time, from the scalar rules ``classify_neighbor`` (in ``oracles.py``) and
+``update_value`` and a brute-force nearest-term scan. The batched ``step``,
+``filter_neighbors``, ``rewire``, ``random_network``, ``nearest_terms`` and
+``hk_step`` must match them exactly:
 the same values, terms and adjacency, and the same number of uniform draws
 taken, which shows as the same next ``rng.random()`` on both generators.
 ``average_terms`` must match ``nearest_terms`` of the scalar ``average``,
@@ -22,11 +22,7 @@ from opiniondyn import (
     RewiringParams,
     StepCounters,
     ThreeWayThresholds,
-    acceptance_probability,
     build_term_set,
-    classify_neighbor,
-    filter_neighbors,
-    hk_confidence_set,
     hk_step,
     nearest_term,
     nearest_terms,
@@ -39,6 +35,7 @@ from opiniondyn import (
 from opiniondyn import dynamics
 from opiniondyn.dynamics import average, average_terms
 from opiniondyn.linguistic import MAX_PHI
+from oracles import acceptance_probability, classify_neighbor, filter_neighbors, hk_confidence_set
 
 unit = st.floats(0, 1)
 probabilities = st.sampled_from([0.0, 0.5, 1.0])

@@ -124,6 +124,22 @@ def test_min_max(term_set):
         term_max(term_set, 2, 7)
 
 
+@pytest.mark.parametrize("call", [
+    lambda ts, k: term_value(ts, k),
+    lambda ts, k: negate_term(ts, k),
+    lambda ts, k: term_max(ts, 1, k),
+    lambda ts, k: term_min(ts, k, 1),
+    lambda ts, k: build_term_set(k, 2.0).values.tolist(),
+], ids=["term_value", "negate_term", "term_max", "term_min", "build_term_set"])
+def test_indices_must_be_integers(call, term_set):
+    # int() would truncate 2.5 and 2.9 to 2 and read True as 1
+    for bad in (2.5, 2.9, 2.0, np.float64(2.0), True, False, np.True_, "2"):
+        with pytest.raises(TypeError, match="must be an int or a numpy integer"):
+            call(term_set, bad)
+    for good in (np.int64(2), np.uint8(2)):
+        assert call(term_set, good) == call(term_set, 2)
+
+
 @given(phi=st.integers(1, 8), base=st.sampled_from([1.2, 1.5, 2.0, 2.5, 3.0, 5.0]))
 def test_negation_matches_value_symmetry(phi, base):
     ts = build_term_set(phi, base)

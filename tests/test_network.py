@@ -11,20 +11,15 @@ from opiniondyn import (
     RewiringParams,
     SocialNetwork,
     ThreeWayThresholds,
-    centrality,
     complete_network,
-    density,
     empty_network,
     network_from_edges,
     random_network,
     rewire,
-    stats,
+    save_edge_list,
     step,
 )
 from opiniondyn import network
-from opiniondyn.network import format_edge_list, load_network, parse_edge_list, save_edge_list
-
-STAR4 = network_from_edges(4, [(0, 1), (0, 2), (0, 3)])
 
 
 def test_validation_rejects_bad_adjacency():
@@ -70,16 +65,12 @@ def test_degrees_are_intp_row_counts():
     assert degrees.tolist() == np.count_nonzero(net.adjacency, axis=1).tolist()
 
 
-def test_a_network_needs_at_least_one_agent(tmp_path):
-    path = tmp_path / "edges.txt"
-    path.write_text("")
+def test_a_network_needs_at_least_one_agent():
     for build in (lambda: SocialNetwork(np.zeros((0, 0), dtype=bool)),
-                  lambda: network_from_edges(0, []),
-                  lambda: load_network(path, 0)):
+                  lambda: network_from_edges(0, [])):
         with pytest.raises(ValueError, match=r"network size must be >= 1, got 0"):
             build()
-    for build in (empty_network, complete_network, lambda n: network_from_edges(n, []),
-                  lambda n: load_network(path, n)):
+    for build in (empty_network, complete_network, lambda n: network_from_edges(n, [])):
         with pytest.raises(ValueError, match=r"network size must be >= 1, got -1"):
             build(-1)
 
@@ -90,45 +81,13 @@ def test_networks_compare_and_hash_by_identity():
     assert len({net, twin, net}) == 2
 
 
-def test_density_examples():
-    assert density(complete_network(4)) == 1.0
-    assert density(empty_network(4)) == 0.0
-    assert density(STAR4) == 0.5
-    with pytest.raises(ValueError):
-        density(empty_network(1))
-
-
-def test_centrality_examples():
-    assert centrality(STAR4, 0) == 1.0
-    assert centrality(STAR4, 1) == pytest.approx(1 / 3)
-    net = network_from_edges(3, [(0, 1)])
-    assert centrality(net, 2) == 0.0
-    with pytest.raises(ValueError):
-        centrality(STAR4, 4)
-
-
-def test_stats_examples():
-    s = stats(empty_network(20))
-    assert s.average_degree == 0.0 and s.isolated_count == 20
-    s = stats(complete_network(20))
-    assert s.average_degree == 19.0 and s.isolated_count == 0
-    s = stats(STAR4)
-    assert s.average_degree == pytest.approx(1.5)
-    assert s.isolated_count == 0
-
-
-def brute_force_stats(edges: set, n: int):
+def brute_force_degrees(edges: set, n: int) -> list[int]:
     """Independent oracle: plain counting over an edge set."""
     degree = [0] * n
     for i, j in edges:
         degree[i] += 1
         degree[j] += 1
-    return (
-        len(edges) / (n * (n - 1) / 2),
-        sum(degree) / n,
-        sum(1 for d in degree if d == 0),
-        [d / (n - 1) for d in degree],
-    )
+    return degree
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -137,13 +96,9 @@ def test_metrics_agree_with_brute_force_on_all_small_graphs(n):
     for mask in range(2 ** len(pairs)):
         edges = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
         net = network_from_edges(n, edges)
-        dens, avg_deg, iso, cents = brute_force_stats(edges, n)
-        assert density(net) == pytest.approx(dens)
-        s = stats(net)
-        assert s.average_degree == pytest.approx(avg_deg)
-        assert s.isolated_count == iso
-        for v in range(n):
-            assert centrality(net, v) == pytest.approx(cents[v])
+        # TrajectoryRecord's avg_degree and isolated are read off degrees()
+        assert net.degrees().tolist() == brute_force_degrees(edges, n)
+        assert net.edge_count == len(edges)
 
 
 def test_random_network_extremes_and_determinism():
@@ -274,19 +229,11 @@ def test_edge_list_round_trip(tmp_path):
     net = random_network(12, 0.3, np.random.default_rng(5))
     path = tmp_path / "net.edges"
     save_edge_list(net, path)
-    loaded = load_network(path, 12)
-    assert np.array_equal(loaded.adjacency, net.adjacency)
     # ascending pair order, one edge per line
     lines = path.read_text().splitlines()
     assert lines == [f"{i} {j}" for i, j in net.edges()]
-
-
-def test_edge_list_parser_handles_comments_and_blanks():
-    text = "# initial network\n\n0 1\n2 3   # a pair\n"
-    assert parse_edge_list(text) == [(0, 1), (2, 3)]
-    with pytest.raises(ValueError):
-        parse_edge_list("0 1 2\n")
-    assert format_edge_list(empty_network(3)) == ""
+    loaded = network_from_edges(12, [tuple(map(int, line.split())) for line in lines])
+    assert np.array_equal(loaded.adjacency, net.adjacency)
 
 
 def reference_edge_text(net: SocialNetwork) -> str:
@@ -318,25 +265,15 @@ def symmetric_networks(draw):
 @example(net=isolate(complete_network(12), [11]))
 @example(net=isolate(random_network(130, 0.5, np.random.default_rng(3)), [0, 129]))
 def test_edge_writer_matches_per_pair_reference(net):
-    text = format_edge_list(net)
-    assert text == reference_edge_text(net)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "net.edges"
         save_edge_list(net, path)
-        assert path.read_bytes() == text.encode()
-        assert np.array_equal(load_network(path, net.size).adjacency, net.adjacency)
-
-
-def test_edge_list_parser_names_the_line_of_a_bad_number():
-    with pytest.raises(ValueError, match=r"^line 2: invalid literal for int\(\)"):
-        parse_edge_list("0 1\n1 x\n")
+        assert path.read_bytes() == reference_edge_text(net).encode()
 
 
 def assert_writer_matches_reference(net: SocialNetwork, path: Path) -> None:
-    text = format_edge_list(net)
-    assert text == reference_edge_text(net)
     save_edge_list(net, path)
-    assert path.read_bytes() == text.encode()
+    assert path.read_bytes() == reference_edge_text(net).encode()
 
 
 @pytest.mark.parametrize("n", [10, 11, 100, 101, 1000, 1001])

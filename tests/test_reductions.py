@@ -22,16 +22,15 @@ from opiniondyn import (
     SimulationConfig,
     ThreeWayThresholds,
     build_term_set,
-    centrality,
     cluster_count,
     complete_network,
-    filter_neighbors,
     metrics,
     run,
     update_value,
 )
 from opiniondyn.metrics import default_cluster_tolerance
 from conftest import REFERENCE_TERMS
+from oracles import filter_neighbors
 
 TS = build_term_set(3, 2)
 THRESH = ThreeWayThresholds(alpha=0.3, beta=0.6, decay=10.0)
@@ -198,12 +197,6 @@ def test_update_value_rejects_a_boolean_mask():
     assert update_value(0.5, [], opinions, 0.0) == 0.5
     assert update_value(0.5, np.array([], dtype=bool), opinions, 0.0) == 0.5
     assert update_value(0.5, [0, 2], opinions, 0.0) == 0.5
-
-
-@pytest.mark.parametrize("vertex", [True, False, np.True_])
-def test_centrality_rejects_a_boolean_vertex(vertex):
-    with pytest.raises(TypeError, match="not a boolean"):
-        centrality(complete_network(3), vertex)
 
 
 @pytest.mark.parametrize("opinions", [[0.1, np.nan, 0.9], [np.nan], [np.nan, 0.2, np.nan]])

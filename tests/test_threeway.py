@@ -2,23 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from opiniondyn import (
-    LossMatrix,
-    ThreeWayRegion,
-    ThreeWayThresholds,
-    acceptance_probability,
-    bayes_region,
-    classify_neighbor,
-    expected_losses,
-    filter_neighbors,
-    network_from_edges,
-)
+from opiniondyn import ThreeWayThresholds, network_from_edges
+from oracles import acceptance_probability, classify_neighbor, filter_neighbors
 
 THRESH = ThreeWayThresholds(alpha=0.3, beta=0.6, decay=10.0)
-LOSSES = LossMatrix(accept_pos=0, defer_pos=2, reject_pos=6,
-                    accept_neg=6, defer_neg=2, reject_neg=0)
 
 
 def test_threshold_validation():
@@ -93,71 +81,9 @@ def test_classify_lambda_zero_always_accepts_in_zone():
     assert all(classify_neighbor(0.5, t, rng) for _ in range(100))
 
 
-def test_expected_losses_examples():
-    assert expected_losses(LOSSES, 0.8) == pytest.approx((1.2, 2.0, 4.8))
-    assert expected_losses(LOSSES, 1.0) == (0.0, 2.0, 6.0)
-    assert expected_losses(LOSSES, 0.0) == (6.0, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        expected_losses(LOSSES, 1.2)
-    with pytest.raises(ValueError):
-        LossMatrix(-1, 0, 0, 0, 0, 0)
-
-
-@given(pr=st.floats(0, 1))
-def test_expected_losses_affine(pr):
-    at_one = expected_losses(LOSSES, 1.0)
-    at_zero = expected_losses(LOSSES, 0.0)
-    got = expected_losses(LOSSES, pr)
-    for g, hi, lo in zip(got, at_one, at_zero):
-        assert g == pytest.approx(pr * hi + (1 - pr) * lo, abs=1e-12)
-
-
-def test_bayes_region_examples():
-    assert bayes_region(LOSSES, 0.8) is ThreeWayRegion.POSITIVE
-    assert bayes_region(LOSSES, 0.5) is ThreeWayRegion.BOUNDARY
-    assert bayes_region(LOSSES, 0.0) is ThreeWayRegion.NEGATIVE
-
-
-def brute_force_region(loss, pr):
-    """Independent oracle: argmin with the same tie precedence."""
-    risks = expected_losses(loss, pr)
-    order = [ThreeWayRegion.POSITIVE, ThreeWayRegion.BOUNDARY, ThreeWayRegion.NEGATIVE]
-    best = min(risks)
-    for region, risk in zip(order, risks):
-        if risk == best:
-            return region
-
-
-def test_bayes_region_brute_force_agreement():
-    rng = np.random.default_rng(2024)
-    for _ in range(1000):
-        loss = LossMatrix(*rng.uniform(0, 10, size=6))
-        pr = float(rng.random())
-        assert bayes_region(loss, pr) is brute_force_region(loss, pr)
-
-
-@settings(max_examples=200)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_bayes_region_minimizes(seed):
-    rng = np.random.default_rng(seed)
-    loss = LossMatrix(*rng.uniform(0, 5, size=6))
-    pr = float(rng.random())
-    region = bayes_region(loss, pr)
-    risks = dict(zip(
-        [ThreeWayRegion.POSITIVE, ThreeWayRegion.BOUNDARY, ThreeWayRegion.NEGATIVE],
-        expected_losses(loss, pr),
-    ))
-    assert risks[region] == min(risks.values())
-
-
-def test_nan_decay_and_losses_rejected():
+def test_nan_decay_rejected():
     with pytest.raises(ValueError, match="decay"):
         ThreeWayThresholds(alpha=0.3, beta=0.6, decay=math.nan)
-    for k in range(6):
-        losses = [1.0] * 6
-        losses[k] = math.nan
-        with pytest.raises(ValueError):
-            LossMatrix(*losses)
 
 
 @pytest.mark.parametrize("distance,accepts,draws", [
