@@ -46,7 +46,6 @@ from .network import (
     RewiringParams,
     SocialNetwork,
     complete_network,
-    empty_network,
     network_from_edges,
     random_network,
     rewire,

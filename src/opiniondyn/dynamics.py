@@ -84,7 +84,10 @@ class TrajectoryRecord:
         values = np.array([s.values for s in states], dtype=float)
         var, rng_, cons, dmax = metrics_mod.trajectory_metrics(values, d_max)
         networks = [s.network for s in states]
-        degrees = np.array([net.degrees() for net in networks])
+        # SocialNetwork.degrees of each snapshot, summed into one array
+        degrees = np.empty((len(networks), values.shape[1]), dtype=np.uint32)
+        for net, row in zip(networks, degrees):
+            np.add.reduce(net.adjacency.view(np.uint8), 1, np.uint32, row)
         return cls(
             values=values, terms=np.array([s.terms for s in states], dtype=int), networks=networks,
             variance=var, opinion_range=rng_, consensus=cons, delta_max=dmax, converged=converged,
@@ -246,6 +249,8 @@ def average_terms(
     inertia: float,
     term_set: LinguisticTermSet,
     counters: StepCounters | None = None,
+    pairs: _PairTables | None = None,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """``nearest_terms(term_set, average(opinions, listens, inertia))``, bit for bit.
 
@@ -279,14 +284,20 @@ def average_terms(
     So a slack of (k + 5)·eps would do; (2k + 16)·eps more than doubles it,
     which also covers the second-order terms. The outputs therefore do not
     depend on the BLAS or on the block size.
+
+    ``step`` passes what it already holds: its term lookup ``pairs``, which
+    proves every opinion a term value and so in [0, 1], in place of the
+    range check, and ``counts``, the :func:`row_counts` of ``listens``.
+    Other callers pass neither, and the range is checked.
     """
     n = opinions.size
     terms = np.empty(n, dtype=np.intp)
     recheck = np.arange(n)
     # NaN fails the range test too; an empty state has nothing to certify
-    if (0.0 <= inertia <= 1.0 and n and np.minimum.reduce(opinions) >= 0.0
-            and np.maximum.reduce(opinions) <= 1.0):
-        counts = row_counts(listens)
+    if 0.0 <= inertia <= 1.0 and n and (pairs is not None or (
+            np.minimum.reduce(opinions) >= 0.0 and np.maximum.reduce(opinions) <= 1.0)):
+        if counts is None:
+            counts = row_counts(listens)
         sums = np.empty(n)
         for rows in row_blocks(n):
             sums[rows] = listens[rows] @ opinions
@@ -330,16 +341,16 @@ def step(
     # others average, then map back to the nearest linguistic term, whose
     # value becomes the carried state, so opinions always sit on the term
     # scale (matching the reported term-valued metrics).
-    movers = np.logical_or.reduce(accepted, 1)
-    new_terms = average_terms(opinions, accepted, inertia, term_set, counters)
+    counts = row_counts(accepted)
+    new_terms = average_terms(opinions, accepted, inertia, term_set, counters, pairs, counts)
     del accepted
-    new_values = np.where(movers, term_set.values[new_terms], opinions)
+    new_values = np.where(counts > 0, term_set.values[new_terms], opinions)
     new_net = rewire(net, opinions, rewiring, rng, pairs)
     return StepResult(
         values=new_values,
         terms=new_terms,
         network=new_net,
-        delta_max=metrics_mod.delta_max(opinions, new_values),
+        delta_max=float(np.maximum.reduce(np.abs(new_values - opinions))),  # metrics.delta_max
     )
 
 

@@ -67,17 +67,8 @@ class SocialNetwork:
     def size(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
-    def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
     def degrees(self) -> np.ndarray:
         return row_counts(self.adjacency)
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Undirected edges as (i, j) with i < j, ascending pair order."""
-        ii, jj = np.nonzero(np.triu(self.adjacency, k=1))
-        return [(int(i), int(j)) for i, j in zip(ii, jj)]
 
 
 @dataclass(frozen=True)
@@ -94,11 +85,6 @@ class RewiringParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-
-
-def empty_network(n: int) -> SocialNetwork:
-    _check_size(n)
-    return SocialNetwork(np.zeros((n, n), dtype=bool))
 
 
 def complete_network(n: int) -> SocialNetwork:
@@ -196,15 +182,19 @@ def rewire(
     ``pairs.close[a, j]`` and ``pairs.far[a, j]`` hold ``|v_a - x_j| <
     delta_add`` and ``> delta_cut`` for a term a and agent j. Those tables
     hold the same comparisons of the same :func:`pair_distances`, so the
-    outcome and the draws are those of the per-pair path bit for bit.
+    outcome and the draws are those of the per-pair path bit for bit. The
+    lookup is also the range proof: a term value lies in [0, 1] and is not
+    NaN, so only opinions without it are checked.
     """
     n = net.size
     opinions = np.asarray(opinions, dtype=float)
     if opinions.shape != (n,):
         raise ValueError(f"expected {n} opinions, got shape {opinions.shape}")
     # NaN fails too: the reductions propagate it
-    if not (np.minimum.reduce(opinions) >= 0.0 and np.maximum.reduce(opinions) <= 1.0):
+    if pairs is None and not (np.minimum.reduce(opinions) >= 0.0
+                              and np.maximum.reduce(opinions) <= 1.0):
         raise ValueError("opinions must lie in [0, 1]")
+    chance = np.array((params.p_cut, params.p_add))  # indexed by addable
 
     old = net.adjacency
     new = old.copy()
@@ -225,8 +215,8 @@ def rewire(
             del dist
         else:
             own = pairs.codes[rows]
-            addable = pairs.close[own, first:]
-            eligible = pairs.far[own, first:]
+            addable = pairs.close[:, first:].take(own, axis=0)
+            eligible = pairs.far[:, first:].take(own, axis=0)
         linked = old[rows, first:]
         addable &= ~linked
         eligible &= linked
@@ -234,8 +224,7 @@ def rewire(
         _mask_below_diagonal(eligible)
         drawn = eligible.ravel().nonzero()[0]
         flips = eligible  # True only where drawn, each overwritten by its outcome
-        flips.ravel()[drawn] = rng.random(drawn.size) < np.where(
-            addable.ravel()[drawn], params.p_add, params.p_cut)
+        flips.ravel()[drawn] = rng.random(drawn.size) < chance.take(addable.ravel()[drawn])
         new[rows, first:] ^= flips
         new[first:, rows] ^= flips.T
     return SocialNetwork._built(new)

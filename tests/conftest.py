@@ -3,8 +3,9 @@ Hypothesis profiles.
 
 The default profile, ``tier1``, draws the same examples on every run, so a
 test goes red only when the code under it changes. ``explore`` draws fresh
-examples on every run, 1,000 (ten times the default) for each test that does
-not fix its own count. Select it with ``HYPOTHESIS_PROFILE=explore``, and pin
+examples on every run, ten times as many: 1,000 for each test that takes the
+default count, and ten times its own for each test that sets its count
+through :func:`scaled`. Select it with ``HYPOTHESIS_PROFILE=explore``, and pin
 what it finds as an ``@example`` on the failing test.
 """
 
@@ -19,6 +20,13 @@ from opiniondyn import build_term_set
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("explore", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+
+
+def scaled(max_examples: int) -> int:
+    """A test's own example count, scaled as the loaded profile scales
+    Hypothesis's default of 100: unchanged under tier1, ten times under explore."""
+    return max_examples * settings.default.max_examples // 100
+
 
 # Initial linguistic opinions of the 20-agent worked example, as term indices.
 REFERENCE_TERMS = [0, 3, 6, 0, 0, 0, 5, 3, 3, 3, 5, 1, 0, 5, 3, 0, 4, 3, 4, 3]

@@ -3,6 +3,8 @@
 The package runs only the batched kernels; the tests check them against
 these rules. ``filter_neighbors`` runs the engine's filter on one agent's
 row, so the per-neighbour rule can be checked against it link by link.
+``empty_network``, ``edge_count`` and ``edges`` build and read networks the
+plain way, for the tests alone.
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 from opiniondyn.baselines import _confidence_bounds
 from opiniondyn.dynamics import StepCounters, _filter_links
 from opiniondyn.metrics import as_opinions
+from opiniondyn.network import network_from_edges
 
 
 def acceptance_probability(distance: float, thresholds) -> float:
@@ -69,3 +72,18 @@ def hk_confidence_set(agent: int, opinions, bound: float) -> np.ndarray:
     if not 0 <= agent < x.size:
         raise ValueError(f"agent {agent} out of range")
     return np.flatnonzero(np.abs(x - x[agent]) <= _confidence_bounds(bound, x[agent]))
+
+
+def empty_network(n: int):
+    """A network of ``n`` agents and no edge."""
+    return network_from_edges(n, ())
+
+
+def edge_count(net) -> int:
+    return int(net.adjacency.sum()) // 2
+
+
+def edges(net) -> list[tuple[int, int]]:
+    """Undirected edges as (i, j) with i < j, ascending pair order."""
+    ii, jj = np.nonzero(np.triu(net.adjacency, k=1))
+    return [(int(i), int(j)) for i, j in zip(ii, jj)]

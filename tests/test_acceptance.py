@@ -32,7 +32,7 @@ from opiniondyn import (
     variance,
 )
 from conftest import HETERO_CASE1, HETERO_CASE2, HETERO_CASE3, REFERENCE_TERMS
-from oracles import acceptance_probability
+from oracles import acceptance_probability, edges as edge_list
 
 TS = build_term_set(3, 2)
 TOL_EXACT = 1e-12
@@ -130,7 +130,7 @@ def test_criterion_7_hesitation_slows_convergence():
         def iterations(seed: int, alpha: float, beta: float) -> int:
             gen = np.random.default_rng(seed)
             terms = tuple(int(t) for t in gen.integers(0, 7, size=40))
-            edges = tuple(random_network(40, 0.1, gen).edges())
+            edges = tuple(edge_list(random_network(40, 0.1, gen)))
             record = run(SimulationConfig(
                 n_agents=40,
                 initial_opinions=terms,

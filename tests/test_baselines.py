@@ -16,7 +16,7 @@ from opiniondyn import (
     hk_step,
     nearest_term,
 )
-from conftest import HETERO_CASE1, HETERO_CASE2, HETERO_CASE3
+from conftest import HETERO_CASE1, HETERO_CASE2, HETERO_CASE3, scaled
 from oracles import hk_confidence_set
 
 TS = build_term_set(3, 2)
@@ -45,7 +45,7 @@ def test_unknown_mode_rejected():
         degroot_weights(np.zeros(3), "inverse")
 
 
-@settings(max_examples=100)
+@settings(max_examples=scaled(100))
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 25),
        mode=st.sampled_from(["uniform", "distance"]))
 def test_weights_are_row_stochastic(seed, n, mode):
@@ -106,7 +106,7 @@ def test_hk_step_examples():
     np.testing.assert_array_equal(hk_step(x, np.zeros(3)), x)
 
 
-@settings(max_examples=100)
+@settings(max_examples=scaled(100))
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), eps=st.floats(0, 1))
 def test_hk_homogeneous_preserves_order(seed, n, eps):
     x = np.sort(np.random.default_rng(seed).random(n))

@@ -10,7 +10,6 @@ from opiniondyn import (
     ThreeWayThresholds,
     build_term_set,
     complete_network,
-    empty_network,
     nearest_term,
     network_from_edges,
     random_network,
@@ -18,9 +17,9 @@ from opiniondyn import (
     step,
     update_value,
 )
-from opiniondyn.dynamics import average
-from conftest import REFERENCE_TERMS
-from oracles import filter_neighbors
+from opiniondyn.dynamics import StepResult, TrajectoryRecord, average
+from conftest import REFERENCE_TERMS, scaled
+from oracles import edges as edge_list, empty_network, filter_neighbors
 
 THRESH = ThreeWayThresholds(alpha=0.3, beta=0.6, decay=10.0)
 NO_REWIRE = RewiringParams(delta_add=0.15, delta_cut=0.45, p_add=0.0, p_cut=0.0)
@@ -173,7 +172,7 @@ def test_run_is_bit_reproducible():
 def test_run_deterministic_regime_ignores_seed():
     # no hesitation zone and zero rewiring probabilities: no draw changes
     # any outcome, so different seeds give identical trajectories
-    edges = tuple(random_network(20, 0.2, np.random.default_rng(5)).edges())
+    edges = tuple(edge_list(random_network(20, 0.2, np.random.default_rng(5))))
     records = [
         run(reference_config(
             seed=seed,
@@ -228,7 +227,7 @@ def test_relabeling_equivariance_in_deterministic_regime():
     perm = rng.permutation(10)          # original agent i becomes agent perm[i]
     inverse = np.argsort(perm)
     perm_net = network_from_edges(
-        10, [(int(perm[i]), int(perm[j])) for i, j in net.edges()]
+        10, [(int(perm[i]), int(perm[j])) for i, j in edge_list(net)]
     )
     perm_result = step(opinions[inverse], perm_net, TS, thresholds, 0.0,
                        NO_REWIRE, np.random.default_rng(0))
@@ -247,7 +246,23 @@ def test_step_counters_stay_below_square():
         assert counters.rewire_visits == n * (n - 1) // 2
 
 
-@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("n", [1, 2, 9, 64])
+def test_record_degrees_match_each_snapshots_degrees(n):
+    # from_states sums the adjacency bytes itself, not through degrees()
+    rng = np.random.default_rng(n)
+    nets = [empty_network(n), complete_network(n),
+            *(random_network(n, p, rng) for p in (0.03, 0.1, 0.5, 1.0))]
+    states = [StepResult(np.zeros(n), np.zeros(n, dtype=int), net, 0.0) for net in nets]
+    record = TrajectoryRecord.from_states(states, converged=False, d_max=0.5)
+    degrees = [net.degrees() for net in nets]
+    assert record.avg_degree.tobytes() == np.array([d.mean() for d in degrees]).tobytes()
+    assert record.isolated.tolist() == [int(np.count_nonzero(d == 0)) for d in degrees]
+    assert record.isolated.dtype.kind == "i"
+    if n == 64:  # some random snapshot has isolated agents and some has none
+        assert 0 < record.isolated[2] < n and record.isolated[4] == 0
+
+
+@settings(max_examples=scaled(25), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12))
 def test_random_runs_respect_core_invariants(seed, n):
     rng = np.random.default_rng(seed)

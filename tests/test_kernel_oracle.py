@@ -32,13 +32,14 @@ from opiniondyn import (
     step,
     update_value,
 )
-from opiniondyn import dynamics
+from opiniondyn import dynamics, metrics
 from opiniondyn.dynamics import average, average_terms
 from opiniondyn.linguistic import MAX_PHI
+from conftest import scaled
 from oracles import acceptance_probability, classify_neighbor, filter_neighbors, hk_confidence_set
 
 unit = st.floats(0, 1)
-probabilities = st.sampled_from([0.0, 0.5, 1.0])
+probabilities = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
 edge_probs = st.one_of(st.just(0.0), unit, st.just(1.0))
 inertias = st.one_of(st.just(0.0), st.floats(0, 1, exclude_min=True))
 
@@ -116,11 +117,23 @@ def scenarios(draw):
     )
 
 
+def checked_step(opinions, net, *args):
+    """``step``, with the arithmetic it does itself checked: its largest
+    change is ``metrics.delta_max`` bit for bit, and an agent with no
+    accepted neighbour keeps the exact bits of its opinion."""
+    with mock.patch.object(dynamics, "average_terms", wraps=average_terms) as mapback:
+        result = step(opinions, net, *args)
+    assert result.delta_max.hex() == metrics.delta_max(opinions, result.values).hex()
+    idle = ~mapback.call_args.args[1].any(axis=1)
+    assert result.values[idle].tobytes() == opinions[idle].tobytes()
+    return result
+
+
 def generator_pair(seed):
     return np.random.default_rng(seed), np.random.default_rng(seed)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=scaled(200), deadline=None)
 @given(n=st.integers(1, 12), edge_prob=edge_probs, seed=st.integers(0, 2**32 - 1),
        block_pairs=st.one_of(st.integers(1, 40), st.just(network.BLOCK_PAIRS)))
 def test_random_network_matches_scalar_draws(n, edge_prob, seed, block_pairs):
@@ -150,7 +163,7 @@ def rewire_cases(draw):
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=scaled(300), deadline=None)
 @given(case=rewire_cases())
 def test_rewire_matches_scalar_pairs(case):
     n = case["opinions"].size
@@ -166,7 +179,7 @@ def test_rewire_matches_scalar_pairs(case):
     assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=scaled(300), deadline=None)
 @given(case=scenarios())
 def test_step_matches_scalar_loops(case):
     n = case["opinions"].size
@@ -175,7 +188,7 @@ def test_step_matches_scalar_loops(case):
     batched, scalar = generator_pair(case["seed"] + 1)
     counters = StepCounters()
     with mock.patch.object(network, "BLOCK_PAIRS", case["block_pairs"]):
-        result = step(case["opinions"], net, *args, batched, counters)
+        result = checked_step(case["opinions"], net, *args, batched, counters)
     values, terms, adj, visits = scalar_step(case["opinions"], net.adjacency, *args, scalar)
     assert np.array_equal(result.values, values)
     assert np.array_equal(result.terms, terms)
@@ -218,19 +231,19 @@ def check_table_path_matches_float_path(case):
         with mock.patch.object(network, "BLOCK_PAIRS", block_pairs):
             pairs = dynamics._term_pairs(opinions, term_set, case["thresholds"], case["rewiring"])
             assert (pairs is None) != lookup
-            result = step(opinions, net, *args, rng)
+            result = checked_step(opinions, net, *args, rng)
         outcomes.append((result.values.tobytes(), result.terms.tolist(),
-                         result.network.adjacency.tobytes(), rng.random()))
+                         result.network.adjacency.tobytes(), result.delta_max, rng.random()))
     assert outcomes[0] == outcomes[1]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=scaled(300), deadline=None)
 @given(case=term_valued_cases())
 def test_step_by_term_tables_matches_the_float_path(case):
     check_table_path_matches_float_path(case)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=scaled(20), deadline=None)
 @given(case=term_valued_cases(phis=st.just(200), bases=st.sampled_from([1.001, 1.01])))
 def test_step_by_term_tables_matches_the_float_path_over_the_default_bound(case):
     # 401 terms make 160,801 pairs, more than one default block: the default
@@ -316,7 +329,7 @@ def test_step_rewires_through_the_module_name_once(phi):
     assert (args[4] is None) == (term_set.size ** 2 > network.BLOCK_PAIRS)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=scaled(200), deadline=None)
 @given(case=scenarios(), data=st.data())
 def test_filter_neighbors_matches_classify_neighbor(case, data):
     n = case["opinions"].size
@@ -331,7 +344,7 @@ def test_filter_neighbors_matches_classify_neighbor(case, data):
     assert counters.filter_visits == int(net.adjacency[agent].sum())
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=scaled(200), deadline=None)
 @given(phi=st.integers(1, 5), base=st.sampled_from([1.5, 2.0, 3.0]),
        values=st.lists(unit, min_size=1, max_size=20), midpoints=st.booleans())
 def test_nearest_terms_matches_scalar_scan(phi, base, values, midpoints):
@@ -344,7 +357,7 @@ def test_nearest_terms_matches_scalar_scan(phi, base, values, midpoints):
     assert [nearest_term(term_set, v) for v in values] == expected
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=scaled(200), deadline=None)
 @given(data=st.data(), n=st.integers(1, 12))
 def test_hk_step_matches_scalar_averaging(data, n):
     on_scale = st.sampled_from([float(v) for v in build_term_set(3, 2).values])
@@ -452,7 +465,7 @@ def outcome(call):
         return str(err)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=scaled(300), deadline=None)
 @given(case=mapback_cases())
 def test_average_terms_matches_nearest_term_of_scalar_average(case):
     term_set, opinions, listens, inertia, block_pairs = case

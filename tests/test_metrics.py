@@ -16,6 +16,7 @@ from opiniondyn import (
     variance,
 )
 from opiniondyn.metrics import trajectory_metrics
+from conftest import scaled
 
 TWO_CLUSTER = np.array([0.0] * 5 + [0.5] * 15)
 
@@ -74,7 +75,7 @@ opinions_arrays = st.lists(
 ).map(np.array)
 
 
-@settings(max_examples=100)
+@settings(max_examples=scaled(100))
 @given(opinions=opinions_arrays, seed=st.integers(0, 2**32 - 1))
 def test_permutation_invariance(opinions, seed):
     perm = np.random.default_rng(seed).permutation(len(opinions))
@@ -161,7 +162,7 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=200)
+@settings(max_examples=scaled(200))
 @given(hist=histories(), d_max=st.sampled_from([0.5, 0.3, 1.0, 7.0]))
 @example(hist=np.array([[0.0, 8.04e-274]]), d_max=0.5)
 @example(hist=np.array([[0.0, 0.0, 3.6962794059349117e-162], [0.5, 0.5, 0.5]]), d_max=0.5)

@@ -10,8 +10,8 @@ import pytest
 from opiniondyn import build_term_set, cli, outputs
 from opiniondyn.config import config_from_dict
 from opiniondyn.dynamics import StepResult, TrajectoryRecord
-from opiniondyn.network import empty_network
 from opiniondyn.outputs import write_trajectory
+from oracles import empty_network
 
 
 def csv_tables(record: TrajectoryRecord) -> tuple[bytes, bytes]:

@@ -29,7 +29,7 @@ from opiniondyn import (
     update_value,
 )
 from opiniondyn.metrics import default_cluster_tolerance
-from conftest import REFERENCE_TERMS
+from conftest import REFERENCE_TERMS, scaled
 from oracles import filter_neighbors
 
 TS = build_term_set(3, 2)
@@ -83,11 +83,13 @@ unit_floats = st.one_of(st.floats(0.0, 1.0), st.sampled_from(TS.values.tolist())
 states = arrays(np.float64, st.integers(1, 40), elements=unit_floats)
 histories = arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 30)),
                    elements=unit_floats)
-degree_rows = arrays(np.intp, st.tuples(st.integers(1, 8), st.integers(1, 30)),
+# intp as SocialNetwork.degrees gives them, uint32 as TrajectoryRecord sums them
+degree_rows = arrays(st.sampled_from([np.intp, np.uint32]),
+                     st.tuples(st.integers(1, 8), st.integers(1, 30)),
                      elements=st.integers(0, 1000))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=scaled(200), deadline=None)
 @given(x=st.one_of(states, histories))
 def test_float_reductions_match_the_wrappers(x):
     n = x.shape[-1]
@@ -106,14 +108,14 @@ def test_float_reductions_match_the_wrappers(x):
     assert same_bits(mask.ravel().nonzero()[0], np.flatnonzero(mask))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=scaled(200), deadline=None)
 @given(d=degree_rows)
 def test_degree_row_reductions_match_the_wrappers(d):
     assert same_bits(np.add.reduce(d, 1, float) / d.shape[1], d.mean(axis=1))
     assert same_bits(np.add.reduce(d == 0, 1), (d == 0).sum(axis=1))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=scaled(200), deadline=None)
 @given(x=states, probe=states)
 def test_sorting_and_searching_replacements_match_the_wrappers(x, probe):
     ordered = x.copy()
@@ -155,7 +157,7 @@ def wrapped_update_value(current, accepted, opinions, inertia):
     return float(inertia * current + (1.0 - inertia) * mean)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=scaled(200), deadline=None)
 @given(x=st.one_of(states, histories), d_max=st.sampled_from([0.5, 0.25, 1.0]))
 def test_metrics_keep_the_bits_of_their_wrapped_forms(x, d_max):
     deviations = wrapped_deviations(x)
@@ -170,7 +172,7 @@ def test_metrics_keep_the_bits_of_their_wrapped_forms(x, d_max):
         assert cluster_count(x, 0.01) == 1 + int(np.sum(np.diff(np.sort(x)) > 0.01))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=scaled(200), deadline=None)
 @given(x=states, data=st.data())
 def test_update_value_keeps_the_bits_of_its_wrapped_form(x, data):
     accepted = data.draw(st.lists(st.integers(0, x.size - 1), min_size=1, max_size=x.size))
