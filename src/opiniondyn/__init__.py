@@ -49,6 +49,6 @@ from .network import (
     network_from_edges,
     random_network,
     rewire,
-    save_edge_list,
 )
+from .outputs import save_edge_list
 from .threeway import ThreeWayThresholds

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 
+from .config import SimulationConfig
 from .linguistic import LinguisticTermSet
 
 
@@ -59,12 +60,12 @@ def opinion_range(opinions):
     return _per_state(np.maximum.reduce(arr, -1) - np.minimum.reduce(arr, -1))
 
 
-def consensus_index(opinions, d_max: float = 0.5):
+def consensus_index(opinions, d_max: float = SimulationConfig.d_max):
     """1 minus the mean absolute deviation scaled by the largest possible one.
 
-    The default d_max = 0.5 is the maximal achievable mean absolute
-    deviation for opinions in [0, 1] (half at each endpoint), so the index
-    lands in [0, 1] with 1 meaning full agreement.
+    The default, the config schema's d_max of 0.5, is the maximal achievable
+    mean absolute deviation for opinions in [0, 1] (half at each endpoint),
+    so the index lands in [0, 1] with 1 meaning full agreement.
     """
     return _consensus(_deviations(as_opinions(opinions)), d_max)
 

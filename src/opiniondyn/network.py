@@ -1,7 +1,9 @@
-"""Symmetric social networks: random generation, rewiring and the edge-list writer.
+"""Symmetric social networks: random generation, rewiring, and the row-block
+and corner helpers that every pairwise pass shares.
 
 Networks are boolean adjacency matrices without self-loops. All operations
 treat a network as an immutable snapshot; :func:`rewire` returns a new one.
+Writing a network to a file is ``outputs.save_edge_list``'s job.
 """
 
 from __future__ import annotations
@@ -67,9 +69,6 @@ class SocialNetwork:
     def size(self) -> int:
         return self.adjacency.shape[0]
 
-    def degrees(self) -> np.ndarray:
-        return row_counts(self.adjacency)
-
 
 @dataclass(frozen=True)
 class RewiringParams:
@@ -133,7 +132,7 @@ def _corner_keep(shape: tuple[int, int]) -> np.ndarray:
     return keep
 
 
-def _mask_below_diagonal(block: np.ndarray) -> None:
+def mask_below_diagonal(block: np.ndarray) -> None:
     """Clear the pairs (i, j) with j <= i in a block of rows i0, i0+1, ...
     whose columns start at j = i0 + 1. Only its leading corner holds them."""
     corner = block[:, :block.shape[0] - 1]
@@ -155,7 +154,7 @@ def random_network(n: int, edge_prob: float, rng: np.random.Generator) -> Social
         k, width = rows.stop - rows.start, n - rows.start - 1
         upper = np.empty((k, width), dtype=bool)
         upper.fill(True)
-        _mask_below_diagonal(upper)  # clears k(k-1)/2 pairs
+        mask_below_diagonal(upper)  # clears k(k-1)/2 pairs
         adj[rows, rows.start + 1:][upper] = rng.random(k * width - k * (k - 1) // 2) < edge_prob
     adj |= adj.T
     return SocialNetwork._built(adj)
@@ -221,56 +220,10 @@ def rewire(
         addable &= ~linked
         eligible &= linked
         eligible |= addable
-        _mask_below_diagonal(eligible)
+        mask_below_diagonal(eligible)
         drawn = eligible.ravel().nonzero()[0]
         flips = eligible  # True only where drawn, each overwritten by its outcome
         flips.ravel()[drawn] = rng.random(drawn.size) < chance.take(addable.ravel()[drawn])
         new[rows, first:] ^= flips
         new[first:, rows] ^= flips.T
     return SocialNetwork._built(new)
-
-
-# ---------------------------------------------------------------------------
-# Edge-list text format: one "i j" line per undirected edge, 0-based indices,
-# ascending pair order.
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=16)
-def index_labels(n: int, end: str) -> np.ndarray:
-    """Read-only "i<end>" labels of 0..n-1 as fixed-width bytes, padded on
-    the right with NULs to the width of n-1's label: the "j " and "j\\n" of
-    edge lines and the "i," of the trajectory tables. Text joined from them
-    is the labels once the NULs are stripped."""
-    labels = np.fromiter((f"{i}{end}".encode() for i in range(n)), f"S{len(str(n - 1)) + 1}", n)
-    labels.setflags(write=False)
-    return labels
-
-
-def _edge_chunks(net: SocialNetwork):
-    """The edge lines of each row block of the upper triangle, as bytes: the
-    labels of each edge's row and column side by side, padding stripped. A
-    block that starts at the first label of full width or later holds no
-    padding: its rows and columns all have full-width labels."""
-    n = net.size
-    row_labels, col_labels = index_labels(n, " "), index_labels(n, "\n")
-    padded = 10 ** (len(str(n - 1)) - 1)
-    for rows in row_blocks(n):
-        first = rows.start + 1
-        upper = net.adjacency[rows, first:].copy()
-        _mask_below_diagonal(upper)
-        cols = upper.ravel().nonzero()[0]
-        # Each row's flat offset subtracted from its edges leaves the column.
-        counts = row_counts(upper)
-        cols -= np.repeat(np.arange(counts.size) * upper.shape[1], counts)
-        lines = np.empty((cols.size, 2), dtype=row_labels.dtype)
-        lines[:, 0] = np.repeat(row_labels[rows], counts)
-        lines[:, 1] = col_labels[first:].take(cols)
-        text = lines.tobytes()
-        yield text.translate(None, b"\0") if rows.start < padded else text
-
-
-def save_edge_list(net: SocialNetwork, path) -> None:
-    """Write the edge list one row block of about BLOCK_PAIRS pairs at a time,
-    so the text of the whole network is never held in memory at once."""
-    with open(path, "wb") as fh:
-        fh.writelines(_edge_chunks(net))

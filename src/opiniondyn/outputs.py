@@ -2,12 +2,17 @@
 
 All data files are byte-deterministic for a given record: floats are written
 with repr (shortest round-trip form) and JSON documents with a fixed layout.
-The manifest is the only file carrying the seed and a timestamp.
+The manifest is the only file carrying the seed and a timestamp. Every file
+is written as bytes through :func:`_write`, so no line end depends on the
+platform, and the tables and edge lists are formatted from one label-text
+format: fixed-width, NUL-padded labels gathered by ``take``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import json
 import math
 from datetime import datetime, timezone
@@ -18,7 +23,7 @@ import numpy as np
 from . import __version__
 from .dynamics import TrajectoryRecord
 from .metrics import cluster_count
-from .network import index_labels, save_edge_list
+from .network import SocialNetwork, mask_below_diagonal, row_blocks, row_counts
 
 OPINIONS_FILE = "opinions.csv"
 TERMS_FILE = "terms.csv"
@@ -34,14 +39,33 @@ def fmt_float(v: float) -> str:
     return repr(float(v))
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def _write(path: Path, chunks) -> None:
+    """Write an iterable of byte chunks to ``path``: the one place a file is
+    opened for writing."""
     try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
+
+
+def write_csv(path: Path, header: list[str], rows) -> None:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write(path, [text.getvalue().encode()])
+
+
+@functools.lru_cache(maxsize=16)
+def index_labels(n: int, end: str) -> np.ndarray:
+    """Read-only "i<end>" labels of 0..n-1 as fixed-width bytes, padded on
+    the right with NULs to the width of n-1's label: the "j " and "j\\n" of
+    edge lines and the "i," of the trajectory tables. Text joined from them
+    is the labels once the NULs are stripped."""
+    labels = np.fromiter((f"{i}{end}".encode() for i in range(n)), f"S{len(str(n - 1)) + 1}", n)
+    labels.setflags(write=False)
+    return labels
 
 
 # The trajectory tables are formatted in blocks of whole iterations of at most
@@ -62,16 +86,18 @@ def _cell_labels(cells: np.ndarray, end: str) -> np.ndarray:
     return labels.take(distinct.searchsorted(keys))
 
 
-def _table_chunks(*columns: np.ndarray):
-    """The rows of a per-iteration table as bytes, one block at a time:
-    "iteration,agent," then the cell of each (iterations+1, N) float64 or
-    int64 column, the last ending the line with "\\r\\n" as csv.writer does.
-    A block is a structured array of fixed-width labels, one row per cell;
-    its bytes are the CSV text once the padding is stripped."""
+def _table_chunks(header: list[str], *columns: np.ndarray):
+    """A per-iteration table as bytes: its header line, then its rows one
+    block at a time. A row is "iteration,agent," then the cell of each
+    (iterations+1, N) float64 or int64 column, the last ending the line with
+    "\\r\\n" as csv.writer does. A block is a structured array of fixed-width
+    labels, one row per cell; its bytes are the CSV text once the padding is
+    stripped."""
     n_iterations, n = columns[0].shape
     iteration_labels, agent_labels = index_labels(n_iterations, ","), index_labels(n, ",")
     ends = [","] * (len(columns) - 1) + ["\r\n"]
     per_block = max(1, BLOCK_ROWS // n)
+    yield ",".join(header).encode() + b"\r\n"
     for first in range(0, n_iterations, per_block):
         iterations = slice(first, first + per_block)
         for start in range(0, n, BLOCK_ROWS):
@@ -86,13 +112,34 @@ def _table_chunks(*columns: np.ndarray):
             yield block.tobytes().translate(None, b"\0")
 
 
-def _write_table(path: Path, header: list[str], *columns: np.ndarray) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(",".join(header).encode() + b"\r\n")
-            fh.writelines(_table_chunks(*columns))
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+def _edge_chunks(net: SocialNetwork):
+    """The edge lines of each row block of the upper triangle, as bytes: the
+    labels of each edge's row and column side by side, padding stripped. A
+    block that starts at the first label of full width or later holds no
+    padding: its rows and columns all have full-width labels."""
+    n = net.size
+    row_labels, col_labels = index_labels(n, " "), index_labels(n, "\n")
+    padded = 10 ** (len(str(n - 1)) - 1)
+    for rows in row_blocks(n):
+        first = rows.start + 1
+        upper = net.adjacency[rows, first:].copy()
+        mask_below_diagonal(upper)
+        cols = upper.ravel().nonzero()[0]
+        # Each row's flat offset subtracted from its edges leaves the column.
+        counts = row_counts(upper)
+        cols -= np.repeat(np.arange(counts.size) * upper.shape[1], counts)
+        lines = np.empty((cols.size, 2), dtype=row_labels.dtype)
+        lines[:, 0] = np.repeat(row_labels[rows], counts)
+        lines[:, 1] = col_labels[first:].take(cols)
+        text = lines.tobytes()
+        yield text.translate(None, b"\0") if rows.start < padded else text
+
+
+def save_edge_list(net: SocialNetwork, path) -> None:
+    """Write one "i j" line per undirected edge, 0-based, ascending pair
+    order, one row block of about ``network.BLOCK_PAIRS`` pairs at a time,
+    so the text of the whole network is never held in memory at once."""
+    _write(path, _edge_chunks(net))
 
 
 def read_opinions(path: Path) -> tuple[list[int], np.ndarray]:
@@ -180,8 +227,8 @@ def write_trajectory(record: TrajectoryRecord, outdir: Path,
     # repr of a float64 is fmt_float of it; no copy for a record's own dtypes.
     values = np.asarray(record.values, dtype=np.float64)
     terms = np.asarray(record.terms, dtype=np.int64)
-    _write_table(outdir / OPINIONS_FILE, OPINIONS_COLUMNS, values, terms)
-    _write_table(outdir / TERMS_FILE, TERMS_COLUMNS, terms)
+    _write(outdir / OPINIONS_FILE, _table_chunks(OPINIONS_COLUMNS, values, terms))
+    _write(outdir / TERMS_FILE, _table_chunks(TERMS_COLUMNS, terms))
 
     write_metrics(outdir / METRICS_FILE, range(record.iterations + 1), record.variance,
                   record.opinion_range, record.consensus, record.delta_max,
@@ -190,10 +237,7 @@ def write_trajectory(record: TrajectoryRecord, outdir: Path,
     network_files = []
     for k, net in enumerate(record.networks):
         name = f"network_{k}.edges"
-        try:
-            save_edge_list(net, outdir / name)
-        except OSError as exc:
-            raise RuntimeError(f"cannot write {outdir / name}: {exc}") from exc
+        save_edge_list(net, outdir / name)
         network_files.append(name)
 
     summary = summarize(record, cluster_tolerance)
@@ -209,10 +253,7 @@ def write_trajectory(record: TrajectoryRecord, outdir: Path,
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    try:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+    _write(path, [json.dumps(payload, indent=2).encode() + b"\n"])
 
 
 def write_manifest(outdir: Path, command: str, config_echo: dict, seed,

@@ -3,8 +3,8 @@
 The package runs only the batched kernels; the tests check them against
 these rules. ``filter_neighbors`` runs the engine's filter on one agent's
 row, so the per-neighbour rule can be checked against it link by link.
-``empty_network``, ``edge_count`` and ``edges`` build and read networks the
-plain way, for the tests alone.
+``empty_network``, ``edge_count``, ``edges`` and ``degrees`` build and read
+networks the plain way, for the tests alone.
 """
 
 import math
@@ -14,7 +14,7 @@ import numpy as np
 from opiniondyn.baselines import _confidence_bounds
 from opiniondyn.dynamics import StepCounters, _filter_links
 from opiniondyn.metrics import as_opinions
-from opiniondyn.network import network_from_edges
+from opiniondyn.network import network_from_edges, row_counts
 
 
 def acceptance_probability(distance: float, thresholds) -> float:
@@ -87,3 +87,7 @@ def edges(net) -> list[tuple[int, int]]:
     """Undirected edges as (i, j) with i < j, ascending pair order."""
     ii, jj = np.nonzero(np.triu(net.adjacency, k=1))
     return [(int(i), int(j)) for i, j in zip(ii, jj)]
+
+
+def degrees(net) -> np.ndarray:
+    return row_counts(net.adjacency)

@@ -294,7 +294,7 @@ def test_unwritable_edge_file_is_a_runtime_error(tmp_path, capsys):
     assert "network_0.edges" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["opinions.csv", "terms.csv"])
+@pytest.mark.parametrize("name", ["opinions.csv", "terms.csv", "metrics.csv", "summary.json"])
 def test_unwritable_table_is_a_runtime_error(tmp_path, capsys, name):
     cfg = write_config(tmp_path)
     (tmp_path / "out" / name).mkdir(parents=True)  # a directory where the table should go
@@ -303,6 +303,26 @@ def test_unwritable_table_is_a_runtime_error(tmp_path, capsys, name):
         write_trajectory(record, tmp_path / "out", 0.01)
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("sweep.csv", ["sweep", "--seeds", "1..2"]),
+    ("comparison.csv", ["compare", "--models", "threeway,degroot-uniform"]),
+    ("manifest.json", ["run"]),
+])
+def test_unwritable_command_output_is_a_runtime_error(tmp_path, capsys, name, argv):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)  # a directory where the file should go
+    config = load_config(cfg)
+    command = {"sweep": lambda: cli.cmd_sweep(config, [1, 2], out),
+               "compare": lambda: cli.cmd_compare(config, ["threeway", "degroot-uniform"], out),
+               "run": lambda: cli.cmd_run(config, out)}[argv[0]]
+    with pytest.raises(RuntimeError, match=f"cannot write .*{name}"):
+        command()
+    capsys.readouterr()
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"cannot write {out / name}" in capsys.readouterr().err
 
 
 def test_sweep_rejects_an_empty_seed_list_before_writing(tmp_path):

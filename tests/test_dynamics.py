@@ -19,7 +19,7 @@ from opiniondyn import (
 )
 from opiniondyn.dynamics import StepResult, TrajectoryRecord, average
 from conftest import REFERENCE_TERMS, scaled
-from oracles import edges as edge_list, empty_network, filter_neighbors
+from oracles import degrees as node_degrees, edges as edge_list, empty_network, filter_neighbors
 
 THRESH = ThreeWayThresholds(alpha=0.3, beta=0.6, decay=10.0)
 NO_REWIRE = RewiringParams(delta_add=0.15, delta_cut=0.45, p_add=0.0, p_cut=0.0)
@@ -254,7 +254,7 @@ def test_record_degrees_match_each_snapshots_degrees(n):
             *(random_network(n, p, rng) for p in (0.03, 0.1, 0.5, 1.0))]
     states = [StepResult(np.zeros(n), np.zeros(n, dtype=int), net, 0.0) for net in nets]
     record = TrajectoryRecord.from_states(states, converged=False, d_max=0.5)
-    degrees = [net.degrees() for net in nets]
+    degrees = [node_degrees(net) for net in nets]
     assert record.avg_degree.tobytes() == np.array([d.mean() for d in degrees]).tobytes()
     assert record.isolated.tolist() == [int(np.count_nonzero(d == 0)) for d in degrees]
     assert record.isolated.dtype.kind == "i"
