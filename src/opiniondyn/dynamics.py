@@ -146,16 +146,20 @@ def _pair_tables(term_set: LinguisticTermSet, thresholds: ThreeWayThresholds,
 
 
 def _term_pairs(opinions: np.ndarray, term_set: LinguisticTermSet,
-                thresholds: ThreeWayThresholds, rewiring: RewiringParams) -> _PairTables | None:
+                thresholds: ThreeWayThresholds, rewiring: RewiringParams,
+                codes: np.ndarray | None = None) -> _PairTables | None:
     """The lookup of a step whose opinions all hold the bits of a term value,
-    on a scale whose table of term pairs fits in one row block; else None."""
+    on a scale whose table of term pairs fits in one row block; else None.
+    Given ``codes``, the caller vouches that ``opinions`` is
+    ``term_set.values[codes]`` and nothing is searched or compared."""
     values = term_set.values
     if values.size ** 2 > network.BLOCK_PAIRS:
         return None
-    codes = values.searchsorted(opinions)
-    # NaN and values above the last term sort past it; clipped onto it, they differ
-    if values.take(codes, mode="clip").tobytes() != opinions.tobytes():
-        return None
+    if codes is None:
+        codes = values.searchsorted(opinions)
+        # NaN and values above the last term sort past it; clipped onto it, they differ
+        if values.take(codes, mode="clip").tobytes() != opinions.tobytes():
+            return None
     t = _pair_tables(term_set, thresholds, rewiring)
     return _PairTables(codes, t.accept.take(codes, axis=1), t.hesitate.take(codes, axis=1),
                        t.probs, t.close.take(codes, axis=1), t.far.take(codes, axis=1))
@@ -211,14 +215,22 @@ def update_value(current: float, accepted, opinions: np.ndarray, inertia: float)
     fixed point in floating point. ``accepted`` holds agent indices; a
     boolean mask is rejected.
     """
+    _check_inertia(inertia)
+    accepted = np.asarray(accepted)
+    if accepted.dtype == np.bool_ and accepted.size:  # a mask would be read as 0 and 1
+        raise TypeError("accepted must hold agent indices, not a boolean mask")
+    return _update(current, opinions[accepted.astype(int, copy=False)], inertia)
+
+
+def _check_inertia(inertia: float) -> None:
     if not 0.0 <= inertia <= 1.0:
         raise ValueError(f"inertia must lie in [0, 1], got {inertia!r}")
-    accepted = np.asarray(accepted)
-    if accepted.size == 0:
+
+
+def _update(current: float, vals: np.ndarray, inertia: float) -> float:
+    """The arithmetic of :func:`update_value` over the accepted opinions ``vals``."""
+    if not vals.size:
         return float(current)
-    if accepted.dtype == np.bool_:  # a mask would be read as the indices 0 and 1
-        raise TypeError("accepted must hold agent indices, not a boolean mask")
-    vals = opinions[accepted.astype(int, copy=False)]
     lo, hi = np.minimum.reduce(vals, None), np.maximum.reduce(vals, None)
     mean = float(lo) if lo == hi else float(np.add.reduce(vals, None, float) / vals.size)  # mean()
     if inertia == 0.0:
@@ -230,9 +242,11 @@ def update_value(current: float, accepted, opinions: np.ndarray, inertia: float)
 
 def _average_rows(opinions: np.ndarray, listens: np.ndarray, inertia: float,
                   rows: np.ndarray) -> np.ndarray:
-    """:func:`average` of the given agents only, in the order given."""
-    return np.array([update_value(opinions[i], listens[i].nonzero()[0], opinions, inertia)
-                     for i in rows.tolist()], dtype=float)
+    """:func:`average` of the given agents only, in the order given. A row's
+    mask picks the same opinions, in the same order, as its indices would."""
+    _check_inertia(inertia)
+    return np.array([_update(opinions[i], opinions[listens[i]], inertia) for i in rows.tolist()],
+                    dtype=float)
 
 
 def average(opinions: np.ndarray, listens: np.ndarray, inertia: float) -> np.ndarray:
@@ -259,8 +273,9 @@ def average_terms(
     ``searchsorted``. That term is kept only when it is certain: the row's
     interval ``a ± (2k + 16)·eps`` around the float average ``a`` of its
     ``k`` accepted opinions must hold no midpoint. Every other agent is
-    re-averaged by :func:`update_value` and mapped by :func:`nearest_terms`,
-    so ties, errors and their order are those of the scalar rule.
+    re-averaged by the arithmetic of :func:`update_value` and mapped by
+    :func:`nearest_terms`, so ties, errors and their order are those of the
+    scalar rule.
 
     Why the interval is enough, with u = eps/2, every opinion in [0, 1] and
     ``inertia`` in [0, 1] (otherwise nothing is certified):
@@ -291,8 +306,6 @@ def average_terms(
     Other callers pass neither, and the range is checked.
     """
     n = opinions.size
-    terms = np.empty(n, dtype=np.intp)
-    recheck = np.arange(n)
     # NaN fails the range test too; an empty state has nothing to certify
     if 0.0 <= inertia <= 1.0 and n and (pairs is not None or (
             np.minimum.reduce(opinions) >= 0.0 and np.maximum.reduce(opinions) <= 1.0)):
@@ -300,14 +313,17 @@ def average_terms(
             counts = row_counts(listens)
         sums = np.empty(n)
         for rows in row_blocks(n):
-            sums[rows] = listens[rows] @ opinions
+            np.matmul(listens[rows], opinions, out=sums[rows])
         means = np.divide(sums, counts, out=opinions.copy(), where=counts > 0)
         # With no inertia the blend is the mean, up to the sign of a zero
         estimate = means if inertia == 0.0 else inertia * opinions + (1.0 - inertia) * means
-        slack = (2 * counts + 16) * EPS
+        slack = counts * (2 * EPS) + 16 * EPS  # (2k + 16)·eps, exactly
         mids = term_set.midpoints
         terms = mids.searchsorted(estimate - slack)
         recheck = (terms != mids.searchsorted(estimate + slack, "right")).nonzero()[0]
+    else:
+        terms = np.empty(n, dtype=np.intp)
+        recheck = np.arange(n)
     if recheck.size:
         terms[recheck] = nearest_terms(term_set, _average_rows(opinions, listens, inertia, recheck))
     if counters is not None:
@@ -324,8 +340,14 @@ def step(
     rewiring: RewiringParams,
     rng: np.random.Generator,
     counters: StepCounters | None = None,
+    codes: np.ndarray | None = None,
 ) -> StepResult:
-    """One synchronous iteration; returns the next state and its largest change."""
+    """One synchronous iteration; returns the next state and its largest change.
+
+    ``codes``, when given, are the term indices of ``opinions``: the caller
+    vouches that ``opinions`` is ``term_set.values[codes]`` bit for bit, as
+    every state of :func:`run` is. The step then skips proving it.
+    """
     n = net.size
     opinions = np.asarray(opinions, dtype=float)
     if opinions.shape != (n,):
@@ -333,18 +355,24 @@ def step(
     if counters is not None:
         counters.filter_visits += int(np.count_nonzero(net.adjacency))
         counters.rewire_visits += n * (n - 1) // 2
-    pairs = _term_pairs(opinions, term_set, thresholds, rewiring)
+    pairs = _term_pairs(opinions, term_set, thresholds, rewiring, codes)
     accepted = np.empty((n, n), dtype=bool)
     for rows in row_blocks(n):
         accepted[rows] = _filter_links(rows, opinions, net.adjacency[rows], thresholds, rng, pairs)
     # Agents with no accepted neighbor keep their opinion literally; the
     # others average, then map back to the nearest linguistic term, whose
     # value becomes the carried state, so opinions always sit on the term
-    # scale (matching the reported term-valued metrics).
+    # scale (matching the reported term-valued metrics). On the lookup path
+    # an idle agent's opinion is the value of its term, and its new term is
+    # that term (the nearest term of a term value), so every agent takes the
+    # value of its new term.
     counts = row_counts(accepted)
     new_terms = average_terms(opinions, accepted, inertia, term_set, counters, pairs, counts)
     del accepted
-    new_values = np.where(counts > 0, term_set.values[new_terms], opinions)
+    if pairs is None:
+        new_values = np.where(counts > 0, term_set.values[new_terms], opinions)
+    else:
+        new_values = term_set.values.take(new_terms)
     new_net = rewire(net, opinions, rewiring, rng, pairs)
     return StepResult(
         values=new_values,
@@ -376,7 +404,9 @@ def run(config: SimulationConfig) -> TrajectoryRecord:
 
     The generator is seeded from config.seed; the run stops as soon as a
     step's delta_max falls below config.epsilon. Identical configs give
-    bit-identical records.
+    bit-identical records. Every state holds the values of its terms (the
+    first by construction, each next one by :func:`step`), so each step is
+    handed its codes.
     """
     term_set = config.term_set()
     rng = np.random.default_rng(config.seed)
@@ -386,6 +416,6 @@ def run(config: SimulationConfig) -> TrajectoryRecord:
 
     def advance(state: StepResult) -> StepResult:
         return step(state.values, state.network, term_set, config.thresholds,
-                    config.inertia, config.rewiring, rng)
+                    config.inertia, config.rewiring, rng, codes=state.terms)
 
     return iterate(first, advance, config.t_max, config.epsilon, config.d_max)

@@ -102,8 +102,9 @@ def nearest_terms(term_set: LinguisticTermSet, values) -> np.ndarray:
     terms finds it. Every value must lie in [0, 1]; NaN is rejected too.
     """
     x = np.asarray(values, dtype=float)
-    inside = (x >= 0.0) & (x <= 1.0)
-    if not np.logical_and.reduce(inside, None):
+    # NaN fails too: the reductions propagate it; an empty array has no extremes
+    if x.size and not (np.minimum.reduce(x, None) >= 0.0 and np.maximum.reduce(x, None) <= 1.0):
+        inside = (x >= 0.0) & (x <= 1.0)
         raise ValueError(f"value {float(x[~inside].flat[0])!r} outside [0, 1]")
     # A rounded |x - v| never shrinks as v moves away from x, so the first
     # minimum is the last term below x or the first at or above it, unless a

@@ -25,12 +25,19 @@ def _per_state(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def _deviations(arr: np.ndarray) -> np.ndarray:
+def _extremes(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's minimum and maximum, kept as a length-1 last axis."""
+    return np.minimum.reduce(arr, -1, keepdims=True), np.maximum.reduce(arr, -1, keepdims=True)
+
+
+def _deviations(arr: np.ndarray, extremes: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> np.ndarray:
     """Each opinion minus its state's mean; exactly 0 in an all-equal state
-    (np.mean of identical values can be an ulp off, leaving a spurious residual)."""
-    spread = np.minimum.reduce(arr, -1, keepdims=True) != np.maximum.reduce(arr, -1, keepdims=True)
+    (np.mean of identical values can be an ulp off, leaving a spurious residual).
+    ``extremes`` are ``_extremes(arr)``, when the caller already has them."""
+    lo, hi = _extremes(arr) if extremes is None else extremes
     return np.subtract(arr, np.add.reduce(arr, -1, keepdims=True) / arr.shape[-1],
-                       out=np.zeros(arr.shape), where=spread)
+                       out=np.zeros(arr.shape), where=lo != hi)
 
 
 def variance(opinions):
@@ -104,16 +111,17 @@ def delta_max(previous, current):
 
 
 def trajectory_metrics(states, d_max: float):
-    """Variance, range, consensus index and delta_max of a history; delta_max
-    compares a state with the one before, NaN for the first."""
+    """Variance, range, consensus index and delta_max of a history, one state
+    per row; delta_max compares a state with the one before, NaN for the first."""
     states = as_opinions(states)
-    deviations = _deviations(states)
-    return (
-        _variance(deviations),
-        opinion_range(states),
-        _consensus(deviations, d_max),
-        np.concatenate(([np.nan], delta_max(states[:-1], states[1:]))),
-    )
+    if states.ndim != 2:
+        raise ValueError("a history is 2-d, one state per row")
+    lo, hi = _extremes(states)
+    deviations = _deviations(states, (lo, hi))
+    moves = np.empty(states.shape[0])
+    moves[:1] = np.nan
+    np.maximum.reduce(np.abs(states[1:] - states[:-1]), -1, out=moves[1:])  # delta_max
+    return _variance(deviations), hi[:, 0] - lo[:, 0], _consensus(deviations, d_max), moves
 
 
 def default_cluster_tolerance(term_set: LinguisticTermSet) -> float:

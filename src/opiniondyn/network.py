@@ -193,7 +193,8 @@ def rewire(
     if pairs is None and not (np.minimum.reduce(opinions) >= 0.0
                               and np.maximum.reduce(opinions) <= 1.0):
         raise ValueError("opinions must lie in [0, 1]")
-    chance = np.array((params.p_cut, params.p_add))  # indexed by addable
+    # indexed by addable; with one probability for both, no draw needs a gather
+    chance = None if params.p_add == params.p_cut else np.array((params.p_cut, params.p_add))
 
     old = net.adjacency
     new = old.copy()
@@ -223,7 +224,8 @@ def rewire(
         mask_below_diagonal(eligible)
         drawn = eligible.ravel().nonzero()[0]
         flips = eligible  # True only where drawn, each overwritten by its outcome
-        flips.ravel()[drawn] = rng.random(drawn.size) < chance.take(addable.ravel()[drawn])
+        p = params.p_add if chance is None else chance.take(addable.ravel()[drawn])
+        flips.ravel()[drawn] = rng.random(drawn.size) < p
         new[rows, first:] ^= flips
         new[first:, rows] ^= flips.T
     return SocialNetwork._built(new)

@@ -11,6 +11,7 @@ taken, which shows as the same next ``rng.random()`` on both generators.
 errors included.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -19,7 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opiniondyn import (
+    InitialNetworkSpec,
     RewiringParams,
+    SimulationConfig,
     StepCounters,
     ThreeWayThresholds,
     build_term_set,
@@ -29,13 +32,14 @@ from opiniondyn import (
     network,
     random_network,
     rewire,
+    run,
     step,
     update_value,
 )
 from opiniondyn import dynamics, metrics
 from opiniondyn.dynamics import average, average_terms
 from opiniondyn.linguistic import MAX_PHI
-from conftest import scaled
+from conftest import REFERENCE_TERMS, scaled
 from oracles import acceptance_probability, classify_neighbor, filter_neighbors, hk_confidence_set
 
 unit = st.floats(0, 1)
@@ -250,6 +254,78 @@ def test_step_by_term_tables_matches_the_float_path_over_the_default_bound(case)
     # takes the float path, and a raised BLOCK_PAIRS the table path.
     assert case["term_set"].size ** 2 > network.BLOCK_PAIRS
     check_table_path_matches_float_path(case)
+
+
+@pytest.mark.parametrize("equal", [True, False], ids=["one probability", "two probabilities"])
+@settings(max_examples=scaled(150), deadline=None)
+@given(case=rewire_cases(), p_cut=st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75]), st.floats(0, 1, exclude_max=True), st.none()))
+def test_rewire_with_one_or_two_probabilities_matches_scalar_pairs(equal, case, p_cut):
+    # Equal p_add and p_cut compare every draw with one probability; one ulp
+    # apart, each draw reads its own from the pair's addable flag. None puts
+    # p_cut on the first draw, which then succeeds only for an addable pair.
+    if p_cut is None:
+        p_cut = np.random.default_rng(case["seed"] + 1).random()
+    p_add = p_cut if equal else float(np.nextafter(p_cut, 1.0))
+    rewiring = dataclasses.replace(case["rewiring"], p_add=p_add, p_cut=p_cut)
+    assert (rewiring.p_add == rewiring.p_cut) == equal
+    n = case["opinions"].size
+    net = random_network(n, case["edge_prob"], np.random.default_rng(case["seed"]))
+    batched, scalar = generator_pair(case["seed"] + 1)
+    with mock.patch.object(network, "BLOCK_PAIRS", case["block_pairs"]):
+        adj = rewire(net, case["opinions"], rewiring, batched).adjacency
+    assert np.array_equal(adj, scalar_rewire(case["opinions"], net.adjacency, rewiring, scalar))
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+def check_carried_codes_change_nothing(case):
+    term_set, opinions = case["term_set"], case["opinions"]
+    codes = term_set.values.searchsorted(opinions)
+    assert term_set.values[codes].tobytes() == opinions.tobytes()
+    net = random_network(opinions.size, case["edge_prob"], np.random.default_rng(case["seed"]))
+    args = (term_set, case["thresholds"], case["inertia"], case["rewiring"])
+    outcomes = []
+    for carried in (None, codes):
+        rng = np.random.default_rng(case["seed"] + 1)
+        result = checked_step(opinions, net, *args, rng, None, carried)
+        outcomes.append((result.values.tobytes(), result.terms.tobytes(),
+                         result.network.adjacency.tobytes(), result.delta_max.hex(),
+                         rng.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=scaled(200), deadline=None)
+@given(case=term_valued_cases())
+def test_step_with_carried_codes_equals_the_step_that_proves_them(case):
+    check_carried_codes_change_nothing(case)
+
+
+@settings(max_examples=scaled(10), deadline=None)
+@given(case=term_valued_cases(phis=st.just(200), bases=st.sampled_from([1.001, 1.01])))
+def test_step_with_carried_codes_over_the_default_bound_takes_the_float_path(case):
+    check_carried_codes_change_nothing(case)
+
+
+@pytest.mark.parametrize("phi", [3, 200])
+@pytest.mark.parametrize("inertia", [0.0, 0.3])
+@pytest.mark.parametrize("seed", [5, 7])
+def test_every_state_of_a_run_holds_the_values_of_its_terms(phi, inertia, seed):
+    # phi 3 takes the lookup path, which hands each step its codes; phi 200
+    # (401 terms) is over the table bound and takes the float path.
+    config = SimulationConfig(
+        n_agents=20, initial_opinions=tuple(t * phi // 3 for t in REFERENCE_TERMS),
+        phi=phi, base=2.0 if phi == 3 else 1.01, inertia=inertia, seed=seed,
+        initial_network=InitialNetworkSpec(edge_prob=0.1))
+    with mock.patch.object(dynamics, "average_terms", wraps=average_terms) as mapback:
+        record = run(config)
+    values = config.term_set().values
+    assert record.values.tobytes() == values[record.terms].tobytes()
+    # some agent accepted nobody and kept its opinion, and some agent moved
+    accepted = [call.args[1] for call in mapback.call_args_list]
+    assert any((~row.any(axis=1)).any() for row in accepted)
+    assert any(row.any() for row in accepted)
+    assert any(record.values[k].tobytes() != record.values[k + 1].tobytes()
+               for k in range(record.iterations))
 
 
 def test_term_tables_hold_the_scalar_rule_and_are_read_only():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -187,6 +188,29 @@ def test_nearest_terms_at_the_largest_phi_uses_bounded_memory_and_equals_a_scan(
     assert nearest_terms(small, []).shape == (0,)
     with pytest.raises(ValueError, match="outside"):
         nearest_terms(small, [0.5, 1.5])
+
+
+@pytest.mark.parametrize("values,first", [
+    ([0.5, np.nan], "nan"),
+    ([[0.25, 0.5, 0.75], [0.0, np.nan, 1.0]], "nan"),
+    ([0.5, -5e-324], "-5e-324"),
+    ([1.0, 1.0 + np.finfo(float).eps], "1.0000000000000002"),
+    ([[0.5, 1.5], [-0.5, np.nan]], "1.5"),
+    ([[0.5, 0.2], [-0.5, 1.5]], "-0.5"),
+])
+def test_nearest_terms_names_the_first_value_outside_the_unit_interval(values, first):
+    # "first" in C order, whatever the shape
+    with pytest.raises(ValueError, match=re.escape(f"value {first} outside [0, 1]")):
+        nearest_terms(build_term_set(3, 2.0), values)
+
+
+def test_nearest_terms_accepts_a_negative_zero_and_empty_arrays():
+    term_set = build_term_set(3, 2.0)
+    assert nearest_terms(term_set, -0.0) == 0
+    assert nearest_terms(term_set, [-0.0, 0.5, 1.0]).tolist() == [0, 3, 6]
+    for empty in (np.empty(0), np.empty((0, 3))):
+        result = nearest_terms(term_set, empty)
+        assert result.shape == empty.shape and result.dtype == np.intp
 
 
 @pytest.mark.parametrize("phi,base", [(2, 2.0**52), (3, 2.0**26), (3, 1e6), (200, 1.01),

@@ -191,6 +191,18 @@ def test_history_metrics_equal_per_state_calls(hist, d_max):
         cluster_count(hist, 0.1)  # one state only
 
 
+def test_trajectory_metrics_needs_a_history_of_states():
+    with pytest.raises(ValueError, match="a history is 2-d, one state per row"):
+        trajectory_metrics([0.1, 0.5, 0.9], 0.5)
+
+
+def test_trajectory_metrics_of_one_state_has_no_delta_max():
+    # one iteration of an opinions CSV, as `opiniondyn metrics` reads it
+    var, range_, cons, moves = trajectory_metrics([[0.0, 0.5, 0.5, 1.0]], 0.5)
+    assert var.tolist() == [0.125] and range_.tolist() == [1.0] and cons.tolist() == [0.5]
+    assert moves.shape == (1,) and np.isnan(moves[0])
+
+
 def test_consensus_index_rejects_a_subnormal_d_max():
     with pytest.raises(ValueError, match=r"d_max must be >= 2.2250738585072014e-308, got 1e-320"):
         consensus_index([0.0, 1.0], 1e-320)
