@@ -16,7 +16,15 @@ from .baselines import (
     hk_run,
     hk_step,
 )
-from .config import ConfigError, InitialNetworkSpec, SimulationConfig, config_from_dict, load_config
+from .config import (
+    ConfigError,
+    InitialNetworkSpec,
+    RewiringParams,
+    SimulationConfig,
+    ThreeWayThresholds,
+    config_from_dict,
+    load_config,
+)
 from .dynamics import (
     StepCounters,
     TrajectoryRecord,
@@ -43,7 +51,6 @@ from .metrics import (
     variance,
 )
 from .network import (
-    RewiringParams,
     SocialNetwork,
     complete_network,
     network_from_edges,
@@ -51,4 +58,3 @@ from .network import (
     rewire,
 )
 from .outputs import save_edge_list
-from .threeway import ThreeWayThresholds

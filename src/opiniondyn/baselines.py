@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import SimulationConfig
+from .config import SimulationConfig, check_setting
 from .dynamics import StepResult, TrajectoryRecord, average, average_terms, iterate
 from .linguistic import LinguisticTermSet, nearest_terms
 from .metrics import as_opinions, delta_max
@@ -74,6 +74,11 @@ def hk_step(opinions, bounds) -> np.ndarray:
     return average(x, _confidence_sets(x, _confidence_bounds(bounds, x)), 0.0)
 
 
+def _stopping(t_max, tol, d_max) -> tuple[int, float, float]:
+    """The stopping arguments checked as the config's own rows."""
+    return tuple(map(check_setting, ("t_max", "epsilon", "d_max"), (t_max, tol, d_max)))
+
+
 def _state(values: np.ndarray, terms: np.ndarray, previous: StepResult | None,
            net: SocialNetwork) -> StepResult:
     """A baseline state: the values, their term indices and the shared network."""
@@ -97,6 +102,7 @@ def hk_run(
     """
     x = as_opinions(initial_values, max_ndim=1).copy()
     eps = _confidence_bounds(bounds, x)
+    t_max, tol, d_max = _stopping(t_max, tol, d_max)
     net = complete_network(x.size)
 
     def advance(state: StepResult) -> StepResult:
@@ -124,6 +130,7 @@ def degroot_run(
     """
     x = as_opinions(initial_values, max_ndim=1).copy()
     weights = degroot_weights(x, mode)  # rejects an unknown mode before any step
+    t_max, tol, d_max = _stopping(t_max, tol, d_max)
     net = complete_network(x.size)
     first = _state(x, nearest_terms(term_set, x), None, net)
 

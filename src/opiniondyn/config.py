@@ -1,11 +1,12 @@
 """Run configuration: JSON schema, defaults, validation, and echo.
 
 One config file fully determines a run. The fields of ``SimulationConfig``
-(and of ``InitialNetworkSpec``) are the schema: each field is one row giving
-its JSON path, type, default and bound. Parsing, the unknown-key check, the
-echo and validation all read these rows, so a config is checked the same way
-whether it comes from JSON, a constructor call or ``dataclasses.replace``.
-Defaults follow the worked 20-agent scenario.
+and of its components ``ThreeWayThresholds``, ``RewiringParams`` and
+``InitialNetworkSpec`` are the schema: each field is one row giving its JSON
+path, type, default and bound. Parsing, the unknown-key check, the echo and
+validation all read these rows, so a config is checked the same way whether
+it comes from JSON, a constructor call or ``dataclasses.replace``. Defaults
+follow the worked 20-agent scenario.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .linguistic import LinguisticTermSet, build_term_set
-from .network import RewiringParams, SocialNetwork, network_from_edges, random_network
-from .threeway import ThreeWayThresholds
+from .network import SocialNetwork, network_from_edges, random_network
 
 MODELS = (
     "threeway",
@@ -37,9 +37,6 @@ _NON_NEGATIVE = ("must be >= 0", lambda v: v >= 0.0)
 _UNIT = ("must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 _UINT64 = ("must be a 64-bit unsigned integer", lambda v: 0 <= v < 2**64)
 _MODEL = (f"must be one of {', '.join(MODELS)}", lambda v: v in MODELS)
-
-# JSON keys of component fields that differ from the attribute name.
-_JSON_KEYS = {"decay": "lambda"}
 
 
 class ConfigError(ValueError):
@@ -83,6 +80,10 @@ def _check(path: str, kind: type, bound, value):
     return value
 
 
+def _key(row) -> str:  # a row's JSON key: the last part of its path
+    return row.metadata["path"].rpartition(".")[2]
+
+
 def _check_row(row, value):
     return _check(row.metadata["path"], row.metadata["kind"], row.metadata["bound"], value)
 
@@ -101,6 +102,39 @@ def _per_agent(path: str, values, n_agents: int):
     _require(len(values) == n_agents, path,
              f"length {len(values)} does not match n_agents = {n_agents}")
     return values
+
+
+@dataclass(frozen=True)
+class ThreeWayThresholds:
+    """Accept/reject distance bounds and the hesitation decay factor.
+
+    Distances at or below ``alpha`` are accepted outright, at or above
+    ``beta`` rejected outright; in between, acceptance is probabilistic with
+    probability exp(-decay * (d - alpha)). alpha == beta is allowed and
+    means no hesitation zone.
+    """
+
+    alpha: float = _setting("thresholds.alpha", kind=float, bound=_UNIT)
+    beta: float = _setting("thresholds.beta", kind=float, bound=_UNIT)
+    decay: float = _setting("thresholds.lambda", kind=float, bound=_NON_NEGATIVE)
+
+    def __post_init__(self):
+        _normalise(self)
+        _require(self.alpha <= self.beta, "thresholds",
+                 f"alpha ({self.alpha!r}) must not exceed beta ({self.beta!r})")
+
+
+@dataclass(frozen=True)
+class RewiringParams:
+    """Thresholds and probabilities for opinion-similarity rewiring."""
+
+    delta_add: float = _setting("rewiring.delta_add", kind=float, bound=_UNIT)
+    delta_cut: float = _setting("rewiring.delta_cut", kind=float, bound=_UNIT)
+    p_add: float = _setting("rewiring.p_add", kind=float, bound=_UNIT)
+    p_cut: float = _setting("rewiring.p_cut", kind=float, bound=_UNIT)
+
+    def __post_init__(self):
+        _normalise(self)
 
 
 @dataclass(frozen=True)
@@ -243,7 +277,7 @@ def _echo(value):
     if isinstance(value, tuple):
         return [_echo(v) for v in value]
     if is_dataclass(value):
-        return {_JSON_KEYS.get(c.name, c.name): _echo(getattr(value, c.name))
+        return {_key(c): _echo(getattr(value, c.name))
                 for c in fields(value) if getattr(value, c.name) is not None}
     return value
 
@@ -259,10 +293,9 @@ def check_setting(name: str, value):
 
 _PATHS = {row.metadata["path"] for row in fields(SimulationConfig)}
 _TOP_LEVEL_KEYS = {path.partition(".")[0] for path in _PATHS}
-# Every "object.key" a group or a component (by JSON names) may hold.
+# Every "object.key" a group or a component may hold.
 _OBJECT_KEYS = {path for path in _PATHS if "." in path} | {
-    f"{row.metadata['path']}.{_JSON_KEYS.get(c.name, c.name)}"
-    for row in fields(SimulationConfig) if is_dataclass(row.metadata["kind"])
+    c.metadata["path"] for row in fields(SimulationConfig) if is_dataclass(row.metadata["kind"])
     for c in fields(row.metadata["kind"])}
 _OBJECTS = {path.rpartition(".")[0] for path in _OBJECT_KEYS}
 
@@ -272,20 +305,10 @@ def _from_json(row, value):
     kind = row.metadata["kind"]
     if not is_dataclass(kind):
         return value
-    path = row.metadata["path"]
-    _require(isinstance(value, dict), path, "expected an object")
-    if kind is InitialNetworkSpec:
-        return kind(**value)
-    # A component object may set some keys; the rest keep the default's values.
-    changes = {}
-    for c in fields(kind):
-        key = _JSON_KEYS.get(c.name, c.name)
-        if key in value:
-            changes[c.name] = _check(f"{path}.{key}", float, None, value[key])
-    try:
-        return replace(row.default, **changes)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    _require(isinstance(value, dict), row.metadata["path"], "expected an object")
+    given = {c.name: value[_key(c)] for c in fields(kind) if _key(c) in value}
+    # Thresholds and rewiring may set some keys; the rest keep the default's values.
+    return kind(**given) if kind is InitialNetworkSpec else replace(row.default, **given)
 
 
 def config_from_dict(raw: dict) -> SimulationConfig:

@@ -21,10 +21,9 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import network
-from .config import SimulationConfig
+from .config import RewiringParams, SimulationConfig, ThreeWayThresholds
 from .linguistic import LinguisticTermSet, nearest_terms
-from .network import RewiringParams, SocialNetwork, pair_distances, rewire, row_blocks, row_counts
-from .threeway import ThreeWayThresholds
+from .network import SocialNetwork, pair_distances, rewire, row_blocks, row_counts
 
 
 @dataclass
@@ -212,14 +211,19 @@ def update_value(current: float, accepted, opinions: np.ndarray, inertia: float)
     value is inertia*current + (1-inertia)*mean(accepted opinions); the
     agent's own opinion enters only through inertia. Guards keep the result
     exact when all accepted opinions coincide, so full consensus is a true
-    fixed point in floating point. ``accepted`` holds agent indices; a
-    boolean mask is rejected.
+    fixed point in floating point. ``accepted`` holds agent indices in
+    ``[0, N)``; a boolean mask or a non-integer index is rejected.
     """
     _check_inertia(inertia)
     accepted = np.asarray(accepted)
-    if accepted.dtype == np.bool_ and accepted.size:  # a mask would be read as 0 and 1
-        raise TypeError("accepted must hold agent indices, not a boolean mask")
-    return _update(current, opinions[accepted.astype(int, copy=False)], inertia)
+    if accepted.size:  # an empty list is float64 and selects no one
+        if accepted.dtype.kind not in "iu":  # a mask would be read as 0 and 1, a float truncated
+            kind = "a boolean mask" if accepted.dtype == np.bool_ else accepted.dtype
+            raise TypeError(f"accepted must hold integer agent indices, not {kind}")
+        n = len(opinions)
+        if not (np.minimum.reduce(accepted, None) >= 0 and np.maximum.reduce(accepted, None) < n):
+            raise ValueError(f"accepted indices must lie in [0, {n})")  # -1 would wrap
+    return _update(current, opinions[accepted.astype(np.intp, copy=False)], inertia)
 
 
 def _check_inertia(inertia: float) -> None:

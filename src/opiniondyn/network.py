@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .config import RewiringParams
 
 
 def row_counts(mask: np.ndarray) -> np.ndarray:
@@ -70,22 +74,6 @@ class SocialNetwork:
         return self.adjacency.shape[0]
 
 
-@dataclass(frozen=True)
-class RewiringParams:
-    """Thresholds and probabilities for opinion-similarity rewiring."""
-
-    delta_add: float
-    delta_cut: float
-    p_add: float
-    p_cut: float
-
-    def __post_init__(self):
-        for name in ("delta_add", "delta_cut", "p_add", "p_cut"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-
-
 def complete_network(n: int) -> SocialNetwork:
     _check_size(n)
     adj = np.ones((n, n), dtype=bool)
@@ -98,6 +86,9 @@ def network_from_edges(n: int, edges) -> SocialNetwork:
     _check_size(n)
     adj = np.zeros((n, n), dtype=bool)
     for i, j in edges:
+        # a bool would index as a mask, a float not at all
+        if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in (i, j)):
+            raise ValueError(f"edge ({i!r}, {j!r}): indices must be integers")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) out of range for {n} agents")
         if i == j:

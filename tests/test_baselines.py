@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import opiniondyn.baselines as baselines_mod
 from opiniondyn import (
+    ConfigError,
     build_term_set,
     cluster_count,
     default_cluster_tolerance,
@@ -190,21 +191,46 @@ def test_degroot_run_builds_each_weight_matrix_once(reference_values, monkeypatc
     real = baselines_mod.degroot_weights
     monkeypatch.setattr(baselines_mod, "degroot_weights",
                         lambda x, mode: calls.append(1) or real(x, mode))
-    rec = degroot_run(reference_values, "distance", TS, t_max=3, tol=0.0,
+    rec = degroot_run(reference_values, "distance", TS, t_max=3, tol=math.ulp(0.0),
                       freeze_weights=freeze)
     assert rec.iterations == 3
     assert len(calls) == builds  # t = 0, then once per later step unless frozen
 
 
 def test_baselines_stop_by_the_shared_rule(reference_values):
-    for rec in (hk_run(reference_values, np.full(20, 0.25), TS, t_max=0),
-                degroot_run(reference_values, "uniform", TS, t_max=0)):
-        assert (rec.iterations, rec.converged) == (0, False)
+    for rec in (hk_run(reference_values, np.full(20, 0.25), TS, t_max=1),
+                degroot_run(reference_values, "uniform", TS, t_max=1)):
+        assert (rec.iterations, rec.converged) == (1, False)
         assert math.isnan(rec.delta_max[0])
     rec = hk_run(reference_values, np.full(20, 0.25), TS, tol=1.0)
     assert (rec.iterations, rec.converged) == (1, True)
     # one complete network object is shared by every snapshot
     assert all(net is rec.networks[0] for net in rec.networks)
+
+
+@pytest.mark.parametrize("run", [
+    lambda **kw: hk_run([0.1, 0.9], [0.5, 0.5], TS, **kw),
+    lambda **kw: degroot_run([0.1, 0.9], "uniform", TS, **kw),
+], ids=["hk", "degroot"])
+@pytest.mark.parametrize("kwargs,path", [
+    ({"t_max": 0}, "t_max"),
+    ({"t_max": -1}, "t_max"),
+    ({"t_max": 2.5}, "t_max"),
+    ({"t_max": True}, "t_max"),
+    ({"tol": math.nan}, "epsilon"),
+    ({"tol": -1.0}, "epsilon"),
+    ({"tol": 0.0}, "epsilon"),
+    ({"d_max": 5e-324}, "d_max"),
+])
+def test_baselines_check_their_stopping_arguments_with_the_config_rows(run, kwargs, path):
+    with pytest.raises(ConfigError) as err:
+        run(**kwargs)
+    assert err.value.path == path
+
+
+def test_baselines_take_the_stopping_arguments_as_the_config_does():
+    rec = hk_run([0.1, 0.9], [0.5, 0.5], TS, t_max=2.0, tol=1)
+    assert rec.iterations == 1 and rec.converged
 
 
 @pytest.mark.parametrize("call,message", [

@@ -386,7 +386,7 @@ def test_nan_lambda_exits_1_at_thresholds(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text('{"n_agents": 2, "initial_opinions": [0, 6], "thresholds": {"lambda": NaN}}')
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-    assert "config error at 'thresholds'" in capsys.readouterr().err
+    assert "config error at 'thresholds.lambda'" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

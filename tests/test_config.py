@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -125,6 +126,32 @@ def test_echo_round_trips():
     json.dumps(cfg.to_dict())
 
 
+@pytest.mark.parametrize("value", [True, "0.3"])
+@pytest.mark.parametrize("build,path", [
+    (lambda v: ThreeWayThresholds(v, 0.6, 10.0), "thresholds.alpha"),
+    (lambda v: ThreeWayThresholds(0.3, 0.6, v), "thresholds.lambda"),
+    (lambda v: RewiringParams(0.15, 0.45, v, 0.5), "rewiring.p_add"),
+], ids=["alpha", "lambda", "p_add"])
+def test_python_built_components_reject_what_json_rejects(build, path, value):
+    with pytest.raises(ConfigError) as direct:
+        build(value)
+    group, _, key = path.partition(".")
+    with pytest.raises(ConfigError) as parsed:
+        config_from_dict(minimal() | {group: {key: value}})
+    assert direct.value.path == parsed.value.path == path
+
+
+def test_python_built_components_hold_floats_and_echo_as_json_does():
+    thresholds, rewiring = ThreeWayThresholds(0, 1, 10), RewiringParams(0, 1, 0, 1)
+    assert [type(v) for v in (*vars(thresholds).values(), *vars(rewiring).values())] == [float] * 7
+    cfg = SimulationConfig(n_agents=20, initial_opinions=tuple(REFERENCE_TERMS),
+                           thresholds=thresholds, rewiring=rewiring)
+    loaded = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert json.dumps(cfg.to_dict()) == json.dumps(loaded.to_dict())
+    assert cfg.to_dict()["thresholds"] == {"alpha": 0.0, "beta": 1.0, "lambda": 10.0}
+    assert config_from_dict(cfg.to_dict()) == cfg
+
+
 def test_load_config_reports_file_problems(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
@@ -149,8 +176,14 @@ def test_load_config_reports_file_problems(tmp_path):
                               model="hk-heterogeneous", hk_epsilons=(0.2,) * 19),
      {"model": "hk-heterogeneous", "hk": {"epsilons": [0.2] * 19}}, "hk.epsilons"),
     (lambda: replace(config_from_dict(minimal()), seed=-1), {"seed": -1}, "seed"),
+    (lambda: replace(config_from_dict(minimal()),
+                     thresholds=ThreeWayThresholds(0.3, 0.6, math.nan)),
+     {"thresholds": {"lambda": math.nan}}, "thresholds.lambda"),
+    (lambda: replace(config_from_dict(minimal()),
+                     rewiring=RewiringParams(0.15, 0.45, 0.5, -0.5)),
+     {"rewiring": {"p_cut": -0.5}}, "rewiring.p_cut"),
 ], ids=["hk-homogeneous-without-bound", "term-index-out-of-range", "hk-bounds-wrong-length",
-        "replace-negative-seed"])
+        "replace-negative-seed", "nan-lambda", "negative-p-cut"])
 def test_direct_construction_is_validated_like_json(build, patch, path):
     with pytest.raises(ConfigError) as direct:
         build()

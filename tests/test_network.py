@@ -1,4 +1,5 @@
 import itertools
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -36,6 +37,14 @@ def test_validation_rejects_bad_adjacency():
         network_from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         network_from_edges(3, [(1, 1)])
+
+
+@pytest.mark.parametrize("edge", [(False, 1), (True, 2), (0, 1.5), (np.True_, 1), ("0", 1)])
+def test_network_from_edges_rejects_indices_that_are_not_integers(edge):
+    # a bool would index as a mask, and True as agent 1
+    with pytest.raises(ValueError, match=re.escape(f"edge ({edge[0]!r}, {edge[1]!r})")):
+        network_from_edges(3, [edge])
+    assert edges(network_from_edges(3, [(np.int64(0), np.uint8(2))])) == [(0, 2)]
 
 
 def test_validation_rejects_booleans_that_are_not_0_or_1_bytes():

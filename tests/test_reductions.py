@@ -201,6 +201,21 @@ def test_update_value_rejects_a_boolean_mask():
     assert update_value(0.5, [0, 2], opinions, 0.0) == 0.5
 
 
+@pytest.mark.parametrize("accepted", [[0.7], [1.9, 2.2], np.array([1.0]), [None]])
+def test_update_value_rejects_non_integer_indices(accepted):
+    with pytest.raises(TypeError, match="integer agent indices"):
+        update_value(0.5, accepted, np.array([0.0, 0.25, 1.0]), 0.0)
+
+
+@pytest.mark.parametrize("accepted", [[-1], [3], [0, 5], np.array([2**63], dtype=np.uint64)])
+def test_update_value_rejects_indices_outside_the_agents(accepted):
+    opinions = np.array([0.0, 0.25, 1.0])
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        update_value(0.5, accepted, opinions, 0.0)
+    for dtype in (np.int8, np.uint16, np.int64, np.uint64):  # any integer dtype indexes
+        assert update_value(0.5, np.array([1, 2], dtype=dtype), opinions, 0.0) == 0.625
+
+
 @pytest.mark.parametrize("opinions", [[0.1, np.nan, 0.9], [np.nan], [np.nan, 0.2, np.nan]])
 def test_cluster_count_rejects_nan(opinions):
     with pytest.raises(ValueError, match="NaN"):

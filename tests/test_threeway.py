@@ -82,7 +82,7 @@ def test_classify_lambda_zero_always_accepts_in_zone():
 
 
 def test_nan_decay_rejected():
-    with pytest.raises(ValueError, match="decay"):
+    with pytest.raises(ValueError, match="thresholds.lambda"):
         ThreeWayThresholds(alpha=0.3, beta=0.6, decay=math.nan)
 
 
