@@ -13,8 +13,8 @@ import numpy as np
 from .config import SimulationConfig, check_setting
 from .dynamics import StepResult, TrajectoryRecord, average, average_terms, iterate
 from .linguistic import LinguisticTermSet, nearest_terms
-from .metrics import as_opinions, delta_max
-from .network import SocialNetwork, complete_network, pair_distances
+from .metrics import as_opinions
+from .network import complete_network, pair_distances
 
 ROW_SUM_TOL = 1e-12
 
@@ -79,13 +79,6 @@ def _stopping(t_max, tol, d_max) -> tuple[int, float, float]:
     return tuple(map(check_setting, ("t_max", "epsilon", "d_max"), (t_max, tol, d_max)))
 
 
-def _state(values: np.ndarray, terms: np.ndarray, previous: StepResult | None,
-           net: SocialNetwork) -> StepResult:
-    """A baseline state: the values, their term indices and the shared network."""
-    change = np.nan if previous is None else delta_max(previous.values, values)
-    return StepResult(values, terms, net, change)
-
-
 def hk_run(
     initial_values,
     bounds,
@@ -108,9 +101,9 @@ def hk_run(
     def advance(state: StepResult) -> StepResult:
         listens = _confidence_sets(state.values, eps)
         terms = average_terms(state.values, listens, 0.0, term_set)
-        return _state(term_set.values[terms], terms, state, net)
+        return StepResult(term_set.values[terms], terms, net)
 
-    return iterate(_state(x, nearest_terms(term_set, x), None, net), advance, t_max, tol, d_max)
+    return iterate(StepResult(x, nearest_terms(term_set, x), net), advance, t_max, tol, d_max)
 
 
 def degroot_run(
@@ -132,12 +125,12 @@ def degroot_run(
     weights = degroot_weights(x, mode)  # rejects an unknown mode before any step
     t_max, tol, d_max = _stopping(t_max, tol, d_max)
     net = complete_network(x.size)
-    first = _state(x, nearest_terms(term_set, x), None, net)
+    first = StepResult(x, nearest_terms(term_set, x), net)
 
     def advance(state: StepResult) -> StepResult:
         live = not freeze_weights and state is not first
         step_weights = degroot_weights(state.values, mode) if live else weights
         values = degroot_step(state.values, step_weights)
-        return _state(values, nearest_terms(term_set, values), state, net)
+        return StepResult(values, nearest_terms(term_set, values), net)
 
     return iterate(first, advance, t_max, tol, d_max)

@@ -2,7 +2,7 @@
 
 Every command is driven by a JSON config file (see README for the schema)
 and writes its outputs into a directory. Exit codes: 0 success, 1 config
-error, 2 runtime error.
+or usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -199,7 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help (0) or the usage error (2)
+        return 1 if exc.code else 0
     try:
         if args.command == "metrics":
             cmd_metrics(Path(args.opinions_csv), Path(args.out), args.d_max)

@@ -47,10 +47,11 @@ class StepCounters:
 
 @dataclass(frozen=True, eq=False)
 class StepResult:
+    """One state of any model: its opinions, their term indices and its network."""
+
     values: np.ndarray
     terms: np.ndarray
     network: SocialNetwork
-    delta_max: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +84,7 @@ class TrajectoryRecord:
         values = np.array([s.values for s in states], dtype=float)
         var, rng_, cons, dmax = metrics_mod.trajectory_metrics(values, d_max)
         networks = [s.network for s in states]
-        # SocialNetwork.degrees of each snapshot, summed into one array
+        # Each snapshot's degrees, one row each, counted from its adjacency bytes
         degrees = np.empty((len(networks), values.shape[1]), dtype=np.uint32)
         for net, row in zip(networks, degrees):
             np.add.reduce(net.adjacency.view(np.uint8), 1, np.uint32, row)
@@ -346,7 +347,8 @@ def step(
     counters: StepCounters | None = None,
     codes: np.ndarray | None = None,
 ) -> StepResult:
-    """One synchronous iteration; returns the next state and its largest change.
+    """One synchronous iteration; returns the next state, whose change
+    :func:`iterate` measures, as it does every model's.
 
     ``codes``, when given, are the term indices of ``opinions``: the caller
     vouches that ``opinions`` is ``term_set.values[codes]`` bit for bit, as
@@ -377,27 +379,24 @@ def step(
         new_values = np.where(counts > 0, term_set.values[new_terms], opinions)
     else:
         new_values = term_set.values.take(new_terms)
-    new_net = rewire(net, opinions, rewiring, rng, pairs)
-    return StepResult(
-        values=new_values,
-        terms=new_terms,
-        network=new_net,
-        delta_max=float(np.maximum.reduce(np.abs(new_values - opinions))),  # metrics.delta_max
-    )
+    return StepResult(new_values, new_terms, rewire(net, opinions, rewiring, rng, pairs))
 
 
 def iterate(first: StepResult, advance: Callable[[StepResult], StepResult],
             t_max: int, tol: float, d_max: float) -> TrajectoryRecord:
-    """Advance from ``first`` until a step's delta_max falls below ``tol``.
+    """Advance from ``first`` until a step's :func:`~opiniondyn.metrics.delta_max`
+    falls below ``tol``.
 
     The stopping rule of every model: at most ``t_max`` steps, and the run
     has converged when the last step moved no agent by ``tol`` or more.
+    ``advance`` returns the next state only; the change of each step is
+    measured here, between the values of the two states.
     """
     states = [first]
     converged = False
     for _ in range(t_max):
         states.append(advance(states[-1]))
-        if states[-1].delta_max < tol:
+        if metrics_mod.delta_max(states[-2].values, states[-1].values) < tol:
             converged = True
             break
     return TrajectoryRecord.from_states(states, converged, d_max)
@@ -416,7 +415,7 @@ def run(config: SimulationConfig) -> TrajectoryRecord:
     rng = np.random.default_rng(config.seed)
     first = StepResult(config.initial_values(),
                        np.asarray(config.initial_opinions, dtype=int),
-                       config.build_initial_network(rng), math.nan)
+                       config.build_initial_network(rng))
 
     def advance(state: StepResult) -> StepResult:
         return step(state.values, state.network, term_set, config.thresholds,

@@ -118,9 +118,7 @@ def trajectory_metrics(states, d_max: float):
         raise ValueError("a history is 2-d, one state per row")
     lo, hi = _extremes(states)
     deviations = _deviations(states, (lo, hi))
-    moves = np.empty(states.shape[0])
-    moves[:1] = np.nan
-    np.maximum.reduce(np.abs(states[1:] - states[:-1]), -1, out=moves[1:])  # delta_max
+    moves = np.concatenate(([np.nan], delta_max(states[:-1], states[1:])))
     return _variance(deviations), hi[:, 0] - lo[:, 0], _consensus(deviations, d_max), moves
 
 

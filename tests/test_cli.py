@@ -402,6 +402,28 @@ def test_sweep_rejects_out_of_range_seeds_before_any_run(tmp_path, capsys, monke
     assert runs == [] and not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--config", "{cfg}", "--out", "{out}", "--seeds", "-1..1"],
+     "argument --seeds: expected one argument"),
+    (["run", "--config", "{cfg}", "--out", "{out}", "--seed", "1.5"],
+     "argument --seed: invalid int value: '1.5'"),
+    (["simulate", "--config", "{cfg}", "--out", "{out}"], "invalid choice: 'simulate'"),
+    (["run", "--out", "{out}"], "the following arguments are required: --config"),
+], ids=["seed-range-read-as-an-option", "float-seed", "unknown-command", "missing-config"])
+def test_usage_errors_exit_1_with_the_usage_message(tmp_path, capsys, argv, message):
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    assert cli.main([a.format(cfg=cfg, out=out) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: opiniondyn") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: opiniondyn")
+
+
 def test_metrics_reproduces_every_model_of_a_compare(tmp_path):
     models = ["threeway", "degroot-uniform", "degroot-distance", "hk-homogeneous:0.25",
               "hk-heterogeneous"]

@@ -9,7 +9,9 @@ from opiniondyn import (
     StepCounters,
     ThreeWayThresholds,
     build_term_set,
+    cli,
     complete_network,
+    metrics,
     nearest_term,
     network_from_edges,
     random_network,
@@ -18,7 +20,7 @@ from opiniondyn import (
     update_value,
 )
 from opiniondyn.dynamics import StepResult, TrajectoryRecord, average
-from conftest import REFERENCE_TERMS, scaled
+from conftest import HETERO_CASE1, REFERENCE_TERMS, scaled
 from oracles import degrees as node_degrees, edges as edge_list, empty_network, filter_neighbors
 
 THRESH = ThreeWayThresholds(alpha=0.3, beta=0.6, decay=10.0)
@@ -77,7 +79,7 @@ def test_step_all_equal_is_fixed_point():
     net = random_network(8, 0.5, np.random.default_rng(0))
     opinions = np.full(8, TS.values[4])
     result = step(opinions, net, TS, THRESH, 0.0, NO_REWIRE, np.random.default_rng(1))
-    assert result.delta_max == 0.0
+    assert metrics.delta_max(opinions, result.values) == 0.0
     assert np.array_equal(result.values, opinions)
 
 
@@ -97,7 +99,7 @@ def test_step_mutual_rejection_changes_nothing():
     opinions = np.array([0.0, 0.9])
     result = step(opinions, net, TS, THRESH, 0.0, NO_REWIRE, np.random.default_rng(0))
     assert np.array_equal(result.values, opinions)
-    assert result.delta_max == 0.0
+    assert metrics.delta_max(opinions, result.values) == 0.0
 
 
 def test_step_rejects_nan_opinion_of_isolated_agent():
@@ -252,7 +254,7 @@ def test_record_degrees_match_each_snapshots_degrees(n):
     rng = np.random.default_rng(n)
     nets = [empty_network(n), complete_network(n),
             *(random_network(n, p, rng) for p in (0.03, 0.1, 0.5, 1.0))]
-    states = [StepResult(np.zeros(n), np.zeros(n, dtype=int), net, 0.0) for net in nets]
+    states = [StepResult(np.zeros(n), np.zeros(n, dtype=int), net) for net in nets]
     record = TrajectoryRecord.from_states(states, converged=False, d_max=0.5)
     degrees = [node_degrees(net) for net in nets]
     assert record.avg_degree.tobytes() == np.array([d.mean() for d in degrees]).tobytes()
@@ -278,3 +280,24 @@ def test_random_runs_respect_core_invariants(seed, n):
     assert record.iterations <= 5
     if record.converged:
         assert record.delta_max[record.iterations] < config.epsilon
+
+
+@pytest.mark.parametrize("t_max", [1, 3, 10])
+@pytest.mark.parametrize("model,seeds", [
+    ("threeway", range(21)),
+    ("hk-homogeneous", [0]),
+    ("hk-heterogeneous", [0]),
+    ("degroot-uniform", [0]),
+    ("degroot-distance", [0]),
+])
+def test_every_model_stops_at_its_first_step_below_epsilon(model, seeds, t_max):
+    config = SimulationConfig(n_agents=20, initial_opinions=tuple(REFERENCE_TERMS), model=model,
+                              t_max=t_max, hk_epsilon=0.25, hk_epsilons=tuple(HETERO_CASE1))
+    for seed in seeds:
+        record = cli.run_from_config(config.with_seed(seed))
+        steps = record.delta_max[1:]
+        assert steps.tobytes() == metrics.delta_max(record.values[:-1], record.values[1:]).tobytes()
+        assert (steps[:-1] >= config.epsilon).all()
+        assert record.converged == (steps[-1] < config.epsilon)
+        if not record.converged:
+            assert record.iterations == t_max

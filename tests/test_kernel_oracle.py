@@ -36,7 +36,7 @@ from opiniondyn import (
     step,
     update_value,
 )
-from opiniondyn import dynamics, metrics
+from opiniondyn import dynamics
 from opiniondyn.dynamics import average, average_terms
 from opiniondyn.linguistic import MAX_PHI
 from conftest import REFERENCE_TERMS, scaled
@@ -122,12 +122,10 @@ def scenarios(draw):
 
 
 def checked_step(opinions, net, *args):
-    """``step``, with the arithmetic it does itself checked: its largest
-    change is ``metrics.delta_max`` bit for bit, and an agent with no
+    """``step``, with the arithmetic it does itself checked: an agent with no
     accepted neighbour keeps the exact bits of its opinion."""
     with mock.patch.object(dynamics, "average_terms", wraps=average_terms) as mapback:
         result = step(opinions, net, *args)
-    assert result.delta_max.hex() == metrics.delta_max(opinions, result.values).hex()
     idle = ~mapback.call_args.args[1].any(axis=1)
     assert result.values[idle].tobytes() == opinions[idle].tobytes()
     return result
@@ -237,7 +235,7 @@ def check_table_path_matches_float_path(case):
             assert (pairs is None) != lookup
             result = checked_step(opinions, net, *args, rng)
         outcomes.append((result.values.tobytes(), result.terms.tolist(),
-                         result.network.adjacency.tobytes(), result.delta_max, rng.random()))
+                         result.network.adjacency.tobytes(), rng.random()))
     assert outcomes[0] == outcomes[1]
 
 
@@ -289,8 +287,7 @@ def check_carried_codes_change_nothing(case):
         rng = np.random.default_rng(case["seed"] + 1)
         result = checked_step(opinions, net, *args, rng, None, carried)
         outcomes.append((result.values.tobytes(), result.terms.tobytes(),
-                         result.network.adjacency.tobytes(), result.delta_max.hex(),
-                         rng.bit_generator.state))
+                         result.network.adjacency.tobytes(), rng.bit_generator.state))
     assert outcomes[0] == outcomes[1]
 
 

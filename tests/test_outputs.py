@@ -60,7 +60,7 @@ def test_tables_match_csv_writer_off_the_term_scale(tmp_path):
 
 def test_tables_match_csv_writer_past_ten_iterations(tmp_path):
     rng = np.random.default_rng(12)
-    states = [StepResult(rng.random(13), rng.integers(0, 7, 13), empty_network(13), 0.5)
+    states = [StepResult(rng.random(13), rng.integers(0, 7, 13), empty_network(13))
               for _ in range(12)]
     record = TrajectoryRecord.from_states(states, converged=False, d_max=0.5)
     assert record.iterations == 11
@@ -76,7 +76,7 @@ def test_tables_match_csv_writer_with_two_digit_term_indices(tmp_path):
 def test_tables_keep_signed_zeros_and_exponent_forms(tmp_path):
     rows = [[0.0, -0.0, 1e-05, 5e-324, 0.5, 1.0],
             [-0.0, 0.0, 5e-324, 1e-05, 1.0, 0.5]]
-    states = [StepResult(np.array(row), np.array([0, 0, 0, 0, 3, 6]), empty_network(6), 0.0)
+    states = [StepResult(np.array(row), np.array([0, 0, 0, 0, 3, 6]), empty_network(6))
               for row in rows]
     record = TrajectoryRecord.from_states(states, converged=True, d_max=0.5)
     assert_tables_match_oracle(record, tmp_path)
