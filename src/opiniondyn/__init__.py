@@ -19,12 +19,12 @@ _EXPORTS = {
     "baselines": "degroot_run degroot_step degroot_weights hk_run hk_step",
     "config": "ConfigError InitialNetworkSpec RewiringParams SimulationConfig "
               "ThreeWayThresholds config_from_dict load_config",
-    "dynamics": "StepCounters TrajectoryRecord run step update_value",
+    "dynamics": "StepCounters TrajectoryRecord rewire run step update_value",
     "linguistic": "LinguisticTermSet build_term_set nearest_term nearest_terms "
                   "negate_term term_max term_min term_value",
     "metrics": "cluster_count consensus_index default_cluster_tolerance delta_max "
                "opinion_range variance",
-    "network": "SocialNetwork complete_network network_from_edges random_network rewire",
+    "network": "SocialNetwork complete_network network_from_edges random_network",
     "outputs": "save_edge_list",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -124,6 +124,7 @@ def degroot_run(
     x = as_opinions(initial_values, max_ndim=1).copy()
     weights = degroot_weights(x, mode)  # rejects an unknown mode before any step
     t_max, tol, d_max = _stopping(t_max, tol, d_max)
+    freeze_weights = check_setting("degroot_freeze_weights", freeze_weights)
     net = complete_network(x.size)
     first = StepResult(x, nearest_terms(term_set, x), net)
 

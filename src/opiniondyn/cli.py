@@ -102,12 +102,10 @@ def cmd_compare(config: SimulationConfig, model_specs: list[str], outdir: Path) 
     tolerance = _cluster_tolerance(config)
     rows = []
     outputs: dict[str, object] = {}
-    used_names: set[str] = set()
     for spec, derived in zip(model_specs, derived_configs):
         dirname = spec.replace(":", "_")
-        while dirname in used_names:
+        while dirname in outputs:
             dirname += "_again"
-        used_names.add(dirname)
         record = run_from_config(derived)
         model_outputs = write_trajectory(record, outdir / dirname, tolerance)
         outputs[dirname] = model_outputs

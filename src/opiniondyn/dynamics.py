@@ -23,7 +23,7 @@ from . import metrics as metrics_mod
 from . import network
 from .config import RewiringParams, SimulationConfig, ThreeWayThresholds
 from .linguistic import LinguisticTermSet, nearest_terms
-from .network import SocialNetwork, pair_distances, rewire, row_blocks, row_counts
+from .network import SocialNetwork, mask_below_diagonal, pair_distances, row_blocks, row_counts
 
 
 @dataclass
@@ -105,6 +105,11 @@ def _classes(dist: np.ndarray, thresholds: ThreeWayThresholds) -> tuple[np.ndarr
     return accepted, hesitant
 
 
+def _rewire_classes(dist: np.ndarray, params: RewiringParams) -> tuple[np.ndarray, np.ndarray]:
+    """The close and far masks of rewiring over distances; a boundary distance is neither."""
+    return dist < params.delta_add, dist > params.delta_cut
+
+
 def _probabilities(dist: np.ndarray, thresholds: ThreeWayThresholds) -> np.ndarray:
     """Acceptance probabilities of hesitation-zone distances, one ``math.exp`` each."""
     exponents = -thresholds.decay * (dist - thresholds.alpha)
@@ -116,8 +121,9 @@ class _PairTables(NamedTuple):
     when cached. An agent at term a reads row a; column j of ``accept``,
     ``hesitate``, ``close`` and ``far`` is the agent at term ``codes[j]``.
     ``probs`` is indexed by two terms and is 0 outside the hesitation zone.
-    ``close`` is ``< delta_add`` and ``far`` is ``> delta_cut``, as
-    :func:`~opiniondyn.network.rewire` compares them."""
+    ``accept`` and ``hesitate`` are :func:`_classes` and ``close`` and ``far``
+    are :func:`_rewire_classes` of the term distances, so :func:`_filter_links`
+    and :func:`rewire` read the same decisions on either path."""
 
     codes: np.ndarray
     accept: np.ndarray
@@ -139,7 +145,7 @@ def _pair_tables(term_set: LinguisticTermSet, thresholds: ThreeWayThresholds,
     probs = np.zeros(dist.shape)
     probs[hesitate] = _probabilities(dist[hesitate], thresholds)
     tables = _PairTables(np.arange(term_set.size), accept, hesitate, probs,
-                         dist < rewiring.delta_add, dist > rewiring.delta_cut)
+                         *_rewire_classes(dist, rewiring))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -203,6 +209,73 @@ def _filter_links(
     # Hesitant links are not yet accepted, so each outcome lands in place.
     accepted.ravel()[drawn] = rng.random(drawn.size) < probs
     return accepted
+
+
+def rewire(
+    net: SocialNetwork,
+    opinions,
+    params: RewiringParams,
+    rng: np.random.Generator,
+    pairs=None,
+) -> SocialNetwork:
+    """One rewiring pass driven by pairwise opinion distances.
+
+    Visits every unordered pair (i, j), i < j, in lexicographic order. A
+    disconnected pair closer than delta_add is connected with probability
+    p_add; a connected pair farther apart than delta_cut is disconnected with
+    probability p_cut (strict inequalities; boundary distances do nothing).
+    Exactly one uniform draw is consumed per eligible pair. All decisions
+    read the pre-rewiring adjacency and the supplied opinions.
+
+    ``pairs`` is the term lookup (:class:`_PairTables`) that :func:`step`
+    passes when every opinion is a term value. Its ``close`` and ``far``
+    tables are :func:`_rewire_classes` of the same distances, so the outcome
+    and the draws are those of the per-pair path bit for bit. The lookup is
+    also the range proof: a term value lies in [0, 1] and is not NaN, so
+    only opinions without it are checked.
+    """
+    n = net.size
+    opinions = np.asarray(opinions, dtype=float)
+    if opinions.shape != (n,):
+        raise ValueError(f"expected {n} opinions, got shape {opinions.shape}")
+    # NaN fails too: the reductions propagate it
+    if pairs is None and not (np.minimum.reduce(opinions) >= 0.0
+                              and np.maximum.reduce(opinions) <= 1.0):
+        raise ValueError("opinions must lie in [0, 1]")
+    # indexed by addable; with one probability for both, no draw needs a gather
+    chance = None if params.p_add == params.p_cut else np.array((params.p_cut, params.p_add))
+
+    old = net.adjacency
+    new = old.copy()
+    # Eligibility is a pure function of the old state, so each block of rows
+    # takes the draws of all its eligible pairs at once. A block covers only
+    # the columns right of its first row's diagonal, and ravel().nonzero() walks
+    # it row-major, so the draws stay in lexicographic pair order. An eligible
+    # pair is either unlinked and addable or linked and cuttable, so a
+    # successful draw always flips it: the outcomes are toggles. Both ways of
+    # making addable and eligible give fresh C-contiguous blocks, so ravel()
+    # is a view and the outcomes land in place.
+    for rows in row_blocks(n):
+        first = rows.start + 1
+        if pairs is None:
+            addable, eligible = _rewire_classes(
+                pair_distances(opinions[rows], opinions[first:]), params)
+        else:
+            own = pairs.codes[rows]
+            addable = pairs.close[:, first:].take(own, axis=0)
+            eligible = pairs.far[:, first:].take(own, axis=0)
+        linked = old[rows, first:]
+        addable &= ~linked
+        eligible &= linked
+        eligible |= addable
+        mask_below_diagonal(eligible)
+        drawn = eligible.ravel().nonzero()[0]
+        flips = eligible  # True only where drawn, each overwritten by its outcome
+        p = params.p_add if chance is None else chance.take(addable.ravel()[drawn])
+        flips.ravel()[drawn] = rng.random(drawn.size) < p
+        new[rows, first:] ^= flips
+        new[first:, rows] ^= flips.T
+    return SocialNetwork._built(new)
 
 
 def update_value(current: float, accepted, opinions: np.ndarray, inertia: float) -> float:

@@ -15,7 +15,7 @@ from .linguistic import LinguisticTermSet
 def as_opinions(opinions, max_ndim: int = 2) -> np.ndarray:
     """A non-empty state (1-d) or, with max_ndim 2, also a history of states (2-d)."""
     arr = np.asarray(opinions, dtype=float, order="C")
-    if not 1 <= arr.ndim <= max_ndim or arr.shape[-1] == 0:
+    if not 1 <= arr.ndim <= max_ndim or arr.size == 0:
         shape = "1-d sequence" if max_ndim == 1 else "1-d sequence or 2-d history"
         raise ValueError(f"opinions must be a non-empty {shape}")
     return arr

@@ -1,21 +1,18 @@
-"""Symmetric social networks: random generation, rewiring, and the row-block
-and corner helpers that every pairwise pass shares.
+"""Symmetric social networks: random generation, pair distances, and the
+row-block and corner helpers that every pairwise pass shares.
 
-Networks are boolean adjacency matrices without self-loops. All operations
-treat a network as an immutable snapshot; :func:`rewire` returns a new one.
-Writing a network to a file is ``outputs.save_edge_list``'s job.
+Networks are boolean adjacency matrices without self-loops, treated as
+immutable snapshots. This module imports nothing from the package, so every
+other module can import it. Writing a network to a file is
+``outputs.save_edge_list``'s job.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .config import RewiringParams
 
 
 def row_counts(mask: np.ndarray) -> np.ndarray:
@@ -149,74 +146,3 @@ def random_network(n: int, edge_prob: float, rng: np.random.Generator) -> Social
         adj[rows, rows.start + 1:][upper] = rng.random(k * width - k * (k - 1) // 2) < edge_prob
     adj |= adj.T
     return SocialNetwork._built(adj)
-
-
-def rewire(
-    net: SocialNetwork,
-    opinions,
-    params: RewiringParams,
-    rng: np.random.Generator,
-    pairs=None,
-) -> SocialNetwork:
-    """One rewiring pass driven by pairwise opinion distances.
-
-    Visits every unordered pair (i, j), i < j, in lexicographic order. A
-    disconnected pair closer than delta_add is connected with probability
-    p_add; a connected pair farther apart than delta_cut is disconnected with
-    probability p_cut (strict inequalities; boundary distances do nothing).
-    Exactly one uniform draw is consumed per eligible pair. All decisions
-    read the pre-rewiring adjacency and the supplied opinions.
-
-    ``pairs`` is the term lookup that ``dynamics.step`` passes when every
-    opinion is a term value: agent i sits at term ``pairs.codes[i]``, and
-    ``pairs.close[a, j]`` and ``pairs.far[a, j]`` hold ``|v_a - x_j| <
-    delta_add`` and ``> delta_cut`` for a term a and agent j. Those tables
-    hold the same comparisons of the same :func:`pair_distances`, so the
-    outcome and the draws are those of the per-pair path bit for bit. The
-    lookup is also the range proof: a term value lies in [0, 1] and is not
-    NaN, so only opinions without it are checked.
-    """
-    n = net.size
-    opinions = np.asarray(opinions, dtype=float)
-    if opinions.shape != (n,):
-        raise ValueError(f"expected {n} opinions, got shape {opinions.shape}")
-    # NaN fails too: the reductions propagate it
-    if pairs is None and not (np.minimum.reduce(opinions) >= 0.0
-                              and np.maximum.reduce(opinions) <= 1.0):
-        raise ValueError("opinions must lie in [0, 1]")
-    # indexed by addable; with one probability for both, no draw needs a gather
-    chance = None if params.p_add == params.p_cut else np.array((params.p_cut, params.p_add))
-
-    old = net.adjacency
-    new = old.copy()
-    # Eligibility is a pure function of the old state, so each block of rows
-    # takes the draws of all its eligible pairs at once. A block covers only
-    # the columns right of its first row's diagonal, and ravel().nonzero() walks
-    # it row-major, so the draws stay in lexicographic pair order. An eligible
-    # pair is either unlinked and addable or linked and cuttable, so a
-    # successful draw always flips it: the outcomes are toggles. Both ways of
-    # making addable and eligible give fresh C-contiguous blocks, so ravel()
-    # is a view and the outcomes land in place.
-    for rows in row_blocks(n):
-        first = rows.start + 1
-        if pairs is None:
-            dist = pair_distances(opinions[rows], opinions[first:])
-            addable = dist < params.delta_add
-            eligible = dist > params.delta_cut
-            del dist
-        else:
-            own = pairs.codes[rows]
-            addable = pairs.close[:, first:].take(own, axis=0)
-            eligible = pairs.far[:, first:].take(own, axis=0)
-        linked = old[rows, first:]
-        addable &= ~linked
-        eligible &= linked
-        eligible |= addable
-        mask_below_diagonal(eligible)
-        drawn = eligible.ravel().nonzero()[0]
-        flips = eligible  # True only where drawn, each overwritten by its outcome
-        p = params.p_add if chance is None else chance.take(addable.ravel()[drawn])
-        flips.ravel()[drawn] = rng.random(drawn.size) < p
-        new[rows, first:] ^= flips
-        new[first:, rows] ^= flips.T
-    return SocialNetwork._built(new)

@@ -178,6 +178,14 @@ def test_degroot_run_freeze_weights_changes_trajectory(reference_values):
     assert not np.array_equal(live.values[2], frozen.values[2])
 
 
+@pytest.mark.parametrize("freeze", ["no", 1, 0, None])
+def test_degroot_run_checks_freeze_weights_with_the_config_row(freeze):
+    # any truthy value would freeze the weights; 1 and 0 are not bools in a config file either
+    with pytest.raises(ConfigError) as err:
+        degroot_run([0.1, 0.9], "distance", TS, t_max=3, freeze_weights=freeze)
+    assert err.value.path == "degroot.freeze_weights"
+
+
 def test_degroot_run_rejects_unknown_mode_before_any_step(reference_values):
     for t_max in (0, 3):
         with pytest.raises(ValueError, match="unknown weight mode"):

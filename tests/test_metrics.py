@@ -196,6 +196,15 @@ def test_trajectory_metrics_needs_a_history_of_states():
         trajectory_metrics([0.1, 0.5, 0.9], 0.5)
 
 
+@pytest.mark.parametrize("metric", [
+    variance, opinion_range, lambda x: consensus_index(x, 0.5),
+    lambda x: trajectory_metrics(x, 0.5),
+], ids=["variance", "opinion_range", "consensus_index", "trajectory_metrics"])
+def test_a_history_of_no_states_is_rejected(metric):
+    with pytest.raises(ValueError, match="non-empty"):
+        metric(np.empty((0, 3)))
+
+
 def test_trajectory_metrics_of_one_state_has_no_delta_max():
     # one iteration of an opinions CSV, as `opiniondyn metrics` reads it
     var, range_, cons, moves = trajectory_metrics([[0.0, 0.5, 0.5, 1.0]], 0.5)

@@ -1,6 +1,8 @@
 """The package namespace: every exported name resolves to its defining module's
-object, on first use, and loading a config imports only what it needs."""
+object, on first use, loading a config imports only what it needs, and the
+leaf modules import nothing from the package."""
 
+import ast
 import json
 import os
 import subprocess
@@ -69,3 +71,19 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
         opiniondyn.no_such_name  # noqa: B018
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from opiniondyn import no_such_name", {})
+
+
+@pytest.mark.parametrize("module", ["network", "linguistic"])
+def test_leaf_modules_import_nothing_from_the_package(module):
+    # config imports both as it loads, so neither may import config or what
+    # imports it, not even for annotations under TYPE_CHECKING
+    tree = ast.parse((SRC / "opiniondyn" / f"{module}.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert "numpy" in imported  # the walk found the imports
+    assert [name for name in imported
+            if name.startswith(".") or name.split(".")[0] == "opiniondyn"] == []
