@@ -84,10 +84,9 @@ class TrajectoryRecord:
         values = np.array([s.values for s in states], dtype=float)
         var, rng_, cons, dmax = metrics_mod.trajectory_metrics(values, d_max)
         networks = [s.network for s in states]
-        # Each snapshot's degrees, one row each, counted from its adjacency bytes
-        degrees = np.empty((len(networks), values.shape[1]), dtype=np.uint32)
+        degrees = np.empty((len(networks), values.shape[1]), dtype=np.intp)
         for net, row in zip(networks, degrees):
-            np.add.reduce(net.adjacency.view(np.uint8), 1, np.uint32, row)
+            row_counts(net.adjacency, row)
         return cls(
             values=values, terms=np.array([s.terms for s in states], dtype=int), networks=networks,
             variance=var, opinion_range=rng_, consensus=cons, delta_max=dmax, converged=converged,
@@ -106,8 +105,13 @@ def _classes(dist: np.ndarray, thresholds: ThreeWayThresholds) -> tuple[np.ndarr
 
 
 def _rewire_classes(dist: np.ndarray, params: RewiringParams) -> tuple[np.ndarray, np.ndarray]:
-    """The close and far masks of rewiring over distances; a boundary distance is neither."""
-    return dist < params.delta_add, dist > params.delta_cut
+    """Rewiring's tests over distances, as ``close`` (``< delta_add``) and
+    ``switch``, ``close ^ far`` with ``far`` ``> delta_cut``: the pairs whose
+    eligibility a link changes. A boundary distance is neither close nor far."""
+    close = dist < params.delta_add
+    switch = dist > params.delta_cut
+    switch ^= close
+    return close, switch
 
 
 def _probabilities(dist: np.ndarray, thresholds: ThreeWayThresholds) -> np.ndarray:
@@ -119,18 +123,24 @@ def _probabilities(dist: np.ndarray, thresholds: ThreeWayThresholds) -> np.ndarr
 class _PairTables(NamedTuple):
     """The three-way rule and rewiring's two tests between terms, read-only
     when cached. An agent at term a reads row a; column j of ``accept``,
-    ``hesitate``, ``close`` and ``far`` is the agent at term ``codes[j]``.
+    ``hesitate``, ``close`` and ``switch`` is the agent at term ``codes[j]``.
     ``probs`` is indexed by two terms and is 0 outside the hesitation zone.
-    ``accept`` and ``hesitate`` are :func:`_classes` and ``close`` and ``far``
-    are :func:`_rewire_classes` of the term distances, so :func:`_filter_links`
-    and :func:`rewire` read the same decisions on either path."""
+    ``accept`` and ``hesitate`` are :func:`_classes` and ``close`` and
+    ``switch`` are :func:`_rewire_classes` of the term distances, so
+    :func:`_filter_links` and :func:`rewire` read the same decisions on
+    either path."""
 
     codes: np.ndarray
     accept: np.ndarray
     hesitate: np.ndarray
     probs: np.ndarray
     close: np.ndarray
-    far: np.ndarray
+    switch: np.ndarray
+
+    @property
+    def far(self) -> np.ndarray:
+        """The pairs farther apart than ``delta_cut``."""
+        return self.close ^ self.switch
 
 
 @functools.lru_cache(maxsize=8)
@@ -168,7 +178,7 @@ def _term_pairs(opinions: np.ndarray, term_set: LinguisticTermSet,
             return None
     t = _pair_tables(term_set, thresholds, rewiring)
     return _PairTables(codes, t.accept.take(codes, axis=1), t.hesitate.take(codes, axis=1),
-                       t.probs, t.close.take(codes, axis=1), t.far.take(codes, axis=1))
+                       t.probs, t.close.take(codes, axis=1), t.switch.take(codes, axis=1))
 
 
 def _filter_links(
@@ -227,12 +237,14 @@ def rewire(
     Exactly one uniform draw is consumed per eligible pair. All decisions
     read the pre-rewiring adjacency and the supplied opinions.
 
-    ``pairs`` is the term lookup (:class:`_PairTables`) that :func:`step`
-    passes when every opinion is a term value. Its ``close`` and ``far``
-    tables are :func:`_rewire_classes` of the same distances, so the outcome
-    and the draws are those of the per-pair path bit for bit. The lookup is
-    also the range proof: a term value lies in [0, 1] and is not NaN, so
-    only opinions without it are checked.
+    A pair is eligible when it is close and unlinked or far and linked, that
+    is ``close ^ (switch & linked)`` with ``switch = close ^ far`` from
+    :func:`_rewire_classes`. ``pairs`` is the term lookup
+    (:class:`_PairTables`) that :func:`step` passes when every opinion is a
+    term value; its ``close`` and ``switch`` tables hold those same tests,
+    so the outcome and the draws are those of the per-pair path bit for bit.
+    The lookup is also the range proof: a term value lies in [0, 1] and is
+    not NaN, so only opinions without it are checked.
     """
     n = net.size
     opinions = np.asarray(opinions, dtype=float)
@@ -242,8 +254,8 @@ def rewire(
     if pairs is None and not (np.minimum.reduce(opinions) >= 0.0
                               and np.maximum.reduce(opinions) <= 1.0):
         raise ValueError("opinions must lie in [0, 1]")
-    # indexed by addable; with one probability for both, no draw needs a gather
-    chance = None if params.p_add == params.p_cut else np.array((params.p_cut, params.p_add))
+    # indexed by linked; with one probability for both, no draw needs a gather
+    chance = None if params.p_add == params.p_cut else np.array((params.p_add, params.p_cut))
 
     old = net.adjacency
     new = old.copy()
@@ -251,27 +263,26 @@ def rewire(
     # takes the draws of all its eligible pairs at once. A block covers only
     # the columns right of its first row's diagonal, and ravel().nonzero() walks
     # it row-major, so the draws stay in lexicographic pair order. An eligible
-    # pair is either unlinked and addable or linked and cuttable, so a
-    # successful draw always flips it: the outcomes are toggles. Both ways of
-    # making addable and eligible give fresh C-contiguous blocks, so ravel()
-    # is a view and the outcomes land in place.
+    # pair is either unlinked and close or linked and far, so a successful
+    # draw always flips it: the outcomes are toggles. Both ways of making
+    # eligible give a fresh C-contiguous block, so ravel() is a view and the
+    # outcomes land in place.
     for rows in row_blocks(n):
         first = rows.start + 1
         if pairs is None:
-            addable, eligible = _rewire_classes(
+            eligible, switch = _rewire_classes(
                 pair_distances(opinions[rows], opinions[first:]), params)
         else:
             own = pairs.codes[rows]
-            addable = pairs.close[:, first:].take(own, axis=0)
-            eligible = pairs.far[:, first:].take(own, axis=0)
+            eligible = pairs.close[:, first:].take(own, axis=0)
+            switch = pairs.switch[:, first:].take(own, axis=0)
         linked = old[rows, first:]
-        addable &= ~linked
-        eligible &= linked
-        eligible |= addable
+        switch &= linked
+        eligible ^= switch
         mask_below_diagonal(eligible)
         drawn = eligible.ravel().nonzero()[0]
         flips = eligible  # True only where drawn, each overwritten by its outcome
-        p = params.p_add if chance is None else chance.take(addable.ravel()[drawn])
+        p = params.p_add if chance is None else chance.take(linked.ravel()[drawn])
         flips.ravel()[drawn] = rng.random(drawn.size) < p
         new[rows, first:] ^= flips
         new[first:, rows] ^= flips.T

@@ -15,15 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def row_counts(mask: np.ndarray) -> np.ndarray:
-    """The True entries of each row of a boolean matrix, as ``intp``.
+def row_counts(mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The True entries of each row of a boolean matrix, as ``intp``,
+    written into ``out`` when it is given.
 
     The bytes of each row are summed as integers, which is exact because
     every boolean this package makes or accepts is stored as a 0 or 1 byte.
+    They are summed in 16-bit lanes, which hold the count of any row
+    narrower than 65,536 columns, and in 32-bit lanes for wider rows.
     """
     if mask.dtype != np.bool_:
         raise TypeError(f"row_counts needs a boolean mask, got {mask.dtype}")
-    return np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.uint32).astype(np.intp)
+    if out is None:
+        out = np.empty(mask.shape[0], dtype=np.intp)
+    lane = np.uint16 if mask.shape[1] < 1 << 16 else np.uint32
+    return np.add.reduce(mask.view(np.uint8), 1, lane, out)
 
 
 def pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -113,6 +119,27 @@ def _row_blocks(n: int, block_pairs: int) -> tuple[slice, ...]:
 
 
 @functools.lru_cache(maxsize=16)
+def _upper_blocks(n: int, block_pairs: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The pairs right of the diagonal in each block of :func:`_row_blocks`,
+    numbered row-major from 0, as read-only ``(bounds, upper, lower)``.
+    ``bounds`` holds the number of each row's first pair, then the block's
+    pair count. For pair ``h`` of a row, the flat index of (i, j) in an
+    n-by-n matrix is ``h + upper`` and that of (j, i) is ``h * n + lower``,
+    with ``upper`` and ``lower`` the row's entries."""
+    blocks = []
+    for rows in _row_blocks(n, block_pairs):
+        i = np.arange(rows.start, rows.stop)
+        bounds = np.zeros(i.size + 1, dtype=np.intp)
+        np.cumsum(n - 1 - i, out=bounds[1:])
+        shift = i + 1 - bounds[:-1]  # j - h
+        block = (bounds, i * n + shift, shift * n + i)
+        for table in block:
+            table.setflags(write=False)
+        blocks.append(block)
+    return tuple(blocks)
+
+
+@functools.lru_cache(maxsize=16)
 def _corner_keep(shape: tuple[int, int]) -> np.ndarray:
     """Read-only mask of the entries (r, c) with c >= r, built once per shape."""
     keep = ~np.tri(*shape, k=-1, dtype=bool)
@@ -133,16 +160,23 @@ def random_network(n: int, edge_prob: float, rng: np.random.Generator) -> Social
     One uniform draw per unordered pair, in ascending (i, j) order; the pair
     is connected when the draw falls below ``edge_prob``. The draws are taken
     one block of upper-triangle rows at a time, which is the same stream.
+    Only the pairs that connect are written: ``searchsorted`` of each row's
+    first pair among a block's hits splits them by row, and each hit is set
+    as (i, j) and (j, i) through the flat indices of :func:`_upper_blocks`.
     """
     _check_size(n)
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob!r}")
     adj = np.zeros((n, n), dtype=bool)
-    for rows in row_blocks(n):
-        k, width = rows.stop - rows.start, n - rows.start - 1
-        upper = np.empty((k, width), dtype=bool)
-        upper.fill(True)
-        mask_below_diagonal(upper)  # clears k(k-1)/2 pairs
-        adj[rows, rows.start + 1:][upper] = rng.random(k * width - k * (k - 1) // 2) < edge_prob
-    adj |= adj.T
+    flat = adj.ravel()
+    for bounds, upper, lower in _upper_blocks(n, BLOCK_PAIRS):
+        hits = (rng.random(bounds[-1]) < edge_prob).nonzero()[0]
+        # hits ascend, so each row's hits are one run of them, and these are
+        # where the runs start, then the number of hits
+        runs = hits.searchsorted(bounds)
+        per_row = runs[1:] - runs[:-1]
+        flat[hits + upper.repeat(per_row)] = True
+        hits *= n
+        hits += lower.repeat(per_row)
+        flat[hits] = True
     return SocialNetwork._built(adj)

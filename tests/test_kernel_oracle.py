@@ -276,6 +276,35 @@ def test_rewire_with_one_or_two_probabilities_matches_scalar_pairs(equal, case, 
     assert batched.bit_generator.state == scalar.bit_generator.state
 
 
+@pytest.mark.parametrize("lookup", [True, False], ids=["lookup", "per pair"])
+@pytest.mark.parametrize("p_add, p_cut", [(1.0, 0.0), (0.0, 1.0)])
+def test_rewire_of_pairs_both_close_and_far_draws_by_their_link(p_add, p_cut, lookup):
+    # With delta_add > delta_cut a pair at distance 0.5 is both closer than
+    # delta_add and farther than delta_cut: eligible whether linked or not,
+    # added at p_add when unlinked and cut at p_cut when linked. Agents 1 and
+    # 3 agree (close only) and agents 0 and 2 differ by 1 (far only).
+    term_set = build_term_set(3, 2.0)
+    opinions = term_set.values[[0, 3, 6, 3]]
+    thresholds = ThreeWayThresholds(0.1, 0.4, 1.0)
+    rewiring = RewiringParams(0.75, 0.25, p_add, p_cut)
+    pairs = dynamics._term_pairs(opinions, term_set, thresholds, rewiring) if lookup else None
+    assert (pairs is not None) == lookup
+    dist = np.abs(np.subtract.outer(opinions, opinions))
+    close, far = dist < rewiring.delta_add, dist > rewiring.delta_cut
+    assert (close & far).sum() == 8  # four pairs, in both orientations
+    for edges in ([], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], [(0, 1), (1, 3), (2, 3)]):
+        net = network.network_from_edges(4, edges)
+        batched, scalar = generator_pair(len(edges))
+        adj = rewire(net, opinions, rewiring, batched, pairs).adjacency
+        assert np.array_equal(adj, scalar_rewire(opinions, net.adjacency, rewiring, scalar))
+        assert batched.random() == scalar.random()
+        old = net.adjacency
+        added, cut = close & ~old, far & old
+        np.fill_diagonal(added, False)
+        expected = old | added if p_add else old & ~cut
+        assert np.array_equal(adj, expected)
+
+
 def check_carried_codes_change_nothing(case):
     term_set, opinions = case["term_set"], case["opinions"]
     codes = term_set.values.searchsorted(opinions)

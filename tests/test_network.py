@@ -68,6 +68,18 @@ def test_row_counts_match_count_nonzero(shape, density):
         network.row_counts(mask.astype(np.int64))
 
 
+@pytest.mark.parametrize("fill", [True, False])
+@pytest.mark.parametrize("width", [65_535, 65_536, 70_000])
+def test_row_counts_hold_every_count_either_side_of_the_16_bit_lane(width, fill):
+    # a 16-bit lane holds 65,535 at most; wider rows need a 32-bit one
+    mask = np.full((2, width), fill)
+    out = np.full(2, -1, dtype=np.intp)
+    assert network.row_counts(mask, out) is out
+    for counts in (out, network.row_counts(mask)):
+        assert counts.dtype == np.intp
+        assert counts.tolist() == np.count_nonzero(mask, axis=1).tolist()
+
+
 def test_degrees_are_intp_row_counts():
     net = random_network(40, 0.3, np.random.default_rng(4))
     counts = degrees(net)
@@ -118,6 +130,20 @@ def test_random_network_extremes_and_determinism():
     a = random_network(20, 0.1, np.random.default_rng(42))
     b = random_network(20, 0.1, np.random.default_rng(42))
     assert np.array_equal(a.adjacency, b.adjacency)
+
+
+@pytest.mark.parametrize("edge_prob", [0.0, "2/n", 0.3, 1.0])
+@pytest.mark.parametrize("n, blocks", [(257, 2), (600, 6)])
+def test_random_network_is_one_batch_of_draws_over_the_upper_triangle(n, blocks, edge_prob):
+    p = 2 / n if edge_prob == "2/n" else edge_prob
+    assert len(network.row_blocks(n)) == blocks
+    batched, whole = np.random.default_rng(n), np.random.default_rng(n)
+    net = random_network(n, p, batched)
+    expected = np.zeros((n, n), dtype=bool)
+    expected[np.triu_indices(n, 1)] = whole.random(n * (n - 1) // 2) < p
+    expected |= expected.T
+    assert np.array_equal(net.adjacency, expected)
+    assert batched.random() == whole.random()
 
 
 def test_rewire_certain_addition():

@@ -83,7 +83,8 @@ unit_floats = st.one_of(st.floats(0.0, 1.0), st.sampled_from(TS.values.tolist())
 states = arrays(np.float64, st.integers(1, 40), elements=unit_floats)
 histories = arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 30)),
                    elements=unit_floats)
-# intp as SocialNetwork.degrees gives them, uint32 as TrajectoryRecord sums them
+# intp as network.row_counts gives the degrees of a network and of
+# TrajectoryRecord, uint32 as the widest lane it sums them in
 degree_rows = arrays(st.sampled_from([np.intp, np.uint32]),
                      st.tuples(st.integers(1, 8), st.integers(1, 30)),
                      elements=st.integers(0, 1000))
