@@ -19,7 +19,7 @@ _EXPORTS = {
     "baselines": "degroot_run degroot_step degroot_weights hk_run hk_step",
     "config": "ConfigError InitialNetworkSpec RewiringParams SimulationConfig "
               "ThreeWayThresholds config_from_dict load_config",
-    "dynamics": "StepCounters TrajectoryRecord rewire run step update_value",
+    "dynamics": "StepCounters TrajectoryRecord rewire run step",
     "linguistic": "LinguisticTermSet build_term_set nearest_term nearest_terms "
                   "negate_term term_max term_min term_value",
     "metrics": "cluster_count consensus_index default_cluster_tolerance delta_max "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SimulationConfig, check_setting
-from .dynamics import StepResult, TrajectoryRecord, average, average_terms, iterate
+from .dynamics import StepResult, TrajectoryRecord, average_terms, iterate
 from .linguistic import LinguisticTermSet, nearest_terms
 from .metrics import as_opinions
 from .network import complete_network, pair_distances
@@ -68,10 +68,13 @@ def _confidence_sets(x: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return pair_distances(x, x) <= eps[:, None]
 
 
-def hk_step(opinions, bounds) -> np.ndarray:
-    """One bounded-confidence update: each agent averages its confidence set."""
+def hk_step(opinions, bounds, term_set: LinguisticTermSet) -> np.ndarray:
+    """One bounded-confidence update: each agent averages its confidence set
+    and maps back. Returns the new term indices, the nearest terms of the
+    numeric HK averages bit for bit (:func:`~opiniondyn.dynamics.average_terms`
+    at inertia 0)."""
     x = as_opinions(opinions, max_ndim=1)
-    return average(x, _confidence_sets(x, _confidence_bounds(bounds, x)), 0.0)
+    return average_terms(x, _confidence_sets(x, _confidence_bounds(bounds, x)), 0.0, term_set)
 
 
 def _stopping(t_max, tol, d_max) -> tuple[int, float, float]:
@@ -89,9 +92,9 @@ def hk_run(
 ) -> TrajectoryRecord:
     """Iterate the HK model with per-step linguistic mapback.
 
-    After each averaging step every opinion snaps to the nearest term value,
-    so states stay on the term scale; iteration stops when the largest
-    per-agent change falls below ``tol`` or after ``t_max`` steps.
+    Each step is :func:`hk_step`, and every opinion takes the value of the
+    term it returns, so states stay on the term scale; iteration stops when
+    the largest per-agent change falls below ``tol`` or after ``t_max`` steps.
     """
     x = as_opinions(initial_values, max_ndim=1).copy()
     eps = _confidence_bounds(bounds, x)
@@ -99,8 +102,7 @@ def hk_run(
     net = complete_network(x.size)
 
     def advance(state: StepResult) -> StepResult:
-        listens = _confidence_sets(state.values, eps)
-        terms = average_terms(state.values, listens, 0.0, term_set)
+        terms = hk_step(state.values, eps, term_set)
         return StepResult(term_set.values[terms], terms, net)
 
     return iterate(StepResult(x, nearest_terms(term_set, x), net), advance, t_max, tol, d_max)

@@ -137,11 +137,6 @@ class _PairTables(NamedTuple):
     close: np.ndarray
     switch: np.ndarray
 
-    @property
-    def far(self) -> np.ndarray:
-        """The pairs farther apart than ``delta_cut``."""
-        return self.close ^ self.switch
-
 
 @functools.lru_cache(maxsize=8)
 def _pair_tables(term_set: LinguisticTermSet, thresholds: ThreeWayThresholds,
@@ -289,35 +284,16 @@ def rewire(
     return SocialNetwork._built(new)
 
 
-def update_value(current: float, accepted, opinions: np.ndarray, inertia: float) -> float:
-    """Averaging update for one agent.
-
-    With no accepted neighbors the opinion is unchanged. Otherwise the new
-    value is inertia*current + (1-inertia)*mean(accepted opinions); the
-    agent's own opinion enters only through inertia. Guards keep the result
-    exact when all accepted opinions coincide, so full consensus is a true
-    fixed point in floating point. ``accepted`` holds agent indices in
-    ``[0, N)``; a boolean mask or a non-integer index is rejected.
-    """
-    _check_inertia(inertia)
-    accepted = np.asarray(accepted)
-    if accepted.size:  # an empty list is float64 and selects no one
-        if accepted.dtype.kind not in "iu":  # a mask would be read as 0 and 1, a float truncated
-            kind = "a boolean mask" if accepted.dtype == np.bool_ else accepted.dtype
-            raise TypeError(f"accepted must hold integer agent indices, not {kind}")
-        n = len(opinions)
-        if not (np.minimum.reduce(accepted, None) >= 0 and np.maximum.reduce(accepted, None) < n):
-            raise ValueError(f"accepted indices must lie in [0, {n})")  # -1 would wrap
-    return _update(current, opinions[accepted.astype(np.intp, copy=False)], inertia)
-
-
 def _check_inertia(inertia: float) -> None:
     if not 0.0 <= inertia <= 1.0:
         raise ValueError(f"inertia must lie in [0, 1], got {inertia!r}")
 
 
 def _update(current: float, vals: np.ndarray, inertia: float) -> float:
-    """The arithmetic of :func:`update_value` over the accepted opinions ``vals``."""
+    """The scalar averaging rule of one agent over its accepted opinions
+    ``vals``: unchanged with none, else ``inertia*current + (1-inertia)*mean``.
+    Guards keep the result exact when all accepted opinions coincide, so full
+    consensus is a true fixed point in floating point."""
     if not vals.size:
         return float(current)
     lo, hi = np.minimum.reduce(vals, None), np.maximum.reduce(vals, None)
@@ -331,16 +307,11 @@ def _update(current: float, vals: np.ndarray, inertia: float) -> float:
 
 def _average_rows(opinions: np.ndarray, listens: np.ndarray, inertia: float,
                   rows: np.ndarray) -> np.ndarray:
-    """:func:`average` of the given agents only, in the order given. A row's
-    mask picks the same opinions, in the same order, as its indices would."""
+    """:func:`_update` of the given agents only, in the order given, each over
+    the opinions marked in its row of ``listens``."""
     _check_inertia(inertia)
     return np.array([_update(opinions[i], opinions[listens[i]], inertia) for i in rows.tolist()],
                     dtype=float)
-
-
-def average(opinions: np.ndarray, listens: np.ndarray, inertia: float) -> np.ndarray:
-    """:func:`update_value` for each agent over the agents marked in its row."""
-    return _average_rows(opinions, listens, inertia, np.arange(opinions.size))
 
 
 EPS = np.finfo(float).eps
@@ -355,14 +326,15 @@ def average_terms(
     pairs: _PairTables | None = None,
     counts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``nearest_terms(term_set, average(opinions, listens, inertia))``, bit for bit.
+    """The nearest term of each agent's :func:`_update` over the opinions
+    marked in its row of ``listens``, bit for bit.
 
     Each row block's sums come from one float product ``listens[rows] @
     opinions``; each agent's term is then read off the term midpoints with
     ``searchsorted``. That term is kept only when it is certain: the row's
     interval ``a ± (2k + 16)·eps`` around the float average ``a`` of its
     ``k`` accepted opinions must hold no midpoint. Every other agent is
-    re-averaged by the arithmetic of :func:`update_value` and mapped by
+    re-averaged by :func:`_update` and mapped by
     :func:`nearest_terms`, so ties, errors and their order are those of the
     scalar rule.
 
@@ -371,10 +343,10 @@ def average_terms(
 
     - A sum of ``k`` values in [0, 1], added in any order, is off by at most
       (k - 1)·u times the sum. That covers numpy's pairwise sum in
-      :func:`update_value` and any BLAS order, since the products of a 0/1
+      :func:`_update` and any BLAS order, since the products of a 0/1
       row are exact and its zeros add exactly. Dividing by ``k`` adds u, so
-      both means are within k·u of the true mean (``update_value``'s
-      all-equal guard returns it exactly).
+      both means are within k·u of the true mean (``_update``'s all-equal
+      guard returns it exactly).
     - The inertia blend adds four roundings of values at most 1, and its
       ``mean == current`` guard moves the result by at most k·u, so the
       scalar value and ``a`` each lie within (k + 4)·u of the exact blend

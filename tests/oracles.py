@@ -3,6 +3,9 @@
 The package runs only the batched kernels; the tests check them against
 these rules. ``filter_neighbors`` runs the engine's filter on one agent's
 row, so the per-neighbour rule can be checked against it link by link.
+``update_value``, ``average`` and ``hk_step`` run the engine's scalar
+averaging kernel, the one its mapback falls back on, over agent indices,
+mask rows and confidence sets, with no mapback.
 ``empty_network``, ``edge_count``, ``edges`` and ``degrees`` build and read
 networks the plain way, for the tests alone.
 """
@@ -11,8 +14,8 @@ import math
 
 import numpy as np
 
-from opiniondyn.baselines import _confidence_bounds
-from opiniondyn.dynamics import StepCounters, _filter_links
+from opiniondyn.baselines import _confidence_bounds, _confidence_sets
+from opiniondyn.dynamics import StepCounters, _average_rows, _check_inertia, _filter_links, _update
 from opiniondyn.metrics import as_opinions
 from opiniondyn.network import network_from_edges, row_counts
 
@@ -72,6 +75,40 @@ def hk_confidence_set(agent: int, opinions, bound: float) -> np.ndarray:
     if not 0 <= agent < x.size:
         raise ValueError(f"agent {agent} out of range")
     return np.flatnonzero(np.abs(x - x[agent]) <= _confidence_bounds(bound, x[agent]))
+
+
+def update_value(current: float, accepted, opinions: np.ndarray, inertia: float) -> float:
+    """Averaging update for one agent.
+
+    With no accepted neighbors the opinion is unchanged. Otherwise the new
+    value is inertia*current + (1-inertia)*mean(accepted opinions); the
+    agent's own opinion enters only through inertia. Guards keep the result
+    exact when all accepted opinions coincide, so full consensus is a true
+    fixed point in floating point. ``accepted`` holds agent indices in
+    ``[0, N)``; a boolean mask or a non-integer index is rejected.
+    """
+    _check_inertia(inertia)
+    accepted = np.asarray(accepted)
+    if accepted.size:  # an empty list is float64 and selects no one
+        if accepted.dtype.kind not in "iu":  # a mask would be read as 0 and 1, a float truncated
+            kind = "a boolean mask" if accepted.dtype == np.bool_ else accepted.dtype
+            raise TypeError(f"accepted must hold integer agent indices, not {kind}")
+        n = len(opinions)
+        if not (np.minimum.reduce(accepted, None) >= 0 and np.maximum.reduce(accepted, None) < n):
+            raise ValueError(f"accepted indices must lie in [0, {n})")  # -1 would wrap
+    return _update(current, opinions[accepted.astype(np.intp, copy=False)], inertia)
+
+
+def average(opinions: np.ndarray, listens: np.ndarray, inertia: float) -> np.ndarray:
+    """:func:`update_value` for each agent over the agents marked in its row."""
+    return _average_rows(opinions, listens, inertia, np.arange(opinions.size))
+
+
+def hk_step(opinions, bounds) -> np.ndarray:
+    """One numeric bounded-confidence update: each agent averages its
+    confidence set, itself included, and no value is mapped back."""
+    x = as_opinions(opinions, max_ndim=1)
+    return average(x, _confidence_sets(x, _confidence_bounds(bounds, x)), 0.0)
 
 
 def empty_network(n: int):

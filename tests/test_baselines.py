@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from opiniondyn import (
     degroot_step,
     degroot_weights,
     hk_run,
-    hk_step,
     nearest_term,
+    nearest_terms,
 )
 from conftest import HETERO_CASE1, HETERO_CASE2, HETERO_CASE3, scaled
-from oracles import hk_confidence_set
+from oracles import hk_confidence_set, hk_step
 
 TS = build_term_set(3, 2)
 
@@ -114,6 +115,59 @@ def test_hk_homogeneous_preserves_order(seed, n, eps):
     out = hk_step(x, np.full(n, eps))
     assert np.all(np.diff(out) >= 0)
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
+
+
+# phi=200 at base 1.01 has cells under 1e-3 wide, so many averages fall near
+# a term midpoint.
+HK_TERM_SETS = [build_term_set(*args) for args in ((1, 2.0), (3, 2.0), (4, 1.5), (200, 1.01))]
+HK_BOUNDS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
+
+@settings(max_examples=scaled(200), deadline=None)
+@given(data=st.data(), term_set=st.sampled_from(HK_TERM_SETS), n=st.integers(1, 12),
+       homogeneous=st.booleans())
+def test_hk_step_is_the_nearest_term_of_the_numeric_step(data, term_set, n, homogeneous):
+    # baselines_mod.hk_step maps back; the oracle hk_step is the numeric average
+    values = term_set.values
+    mids = ((values[:-1] + values[1:]) / 2).tolist()
+    opinion = st.one_of(st.sampled_from(values.tolist()), st.sampled_from(mids), st.floats(0, 1))
+    x = np.array(data.draw(st.lists(opinion, min_size=n, max_size=n)))
+    if homogeneous:
+        eps = np.full(n, data.draw(HK_BOUNDS))
+    else:
+        eps = np.array(data.draw(st.lists(HK_BOUNDS, min_size=n, max_size=n)))
+    terms = baselines_mod.hk_step(x, eps, term_set)
+    expected = nearest_terms(term_set, hk_step(x, eps))
+    assert terms.dtype == expected.dtype and terms.tobytes() == expected.tobytes()
+    bad = eps.copy()
+    bad[data.draw(st.integers(0, n - 1))] = data.draw(
+        st.sampled_from([math.nan, math.inf, -0.25, 1.5, np.nextafter(1.0, 2.0)]))
+    with pytest.raises(ValueError, match="bounds"):
+        baselines_mod.hk_step(x, bad, term_set)
+
+
+def test_hk_run_steps_through_hk_step_once_per_step(reference_values):
+    # perfbench times HK by wrapping baselines.hk_step; a runner that inlined
+    # the step, or bound another name, would leave that layer untimed
+    bounds = np.full(20, 0.25)
+    with mock.patch.object(baselines_mod, "hk_step", wraps=baselines_mod.hk_step) as step:
+        rec = hk_run(reference_values, bounds, TS)
+    assert rec.iterations > 1 and step.call_count == rec.iterations
+    for k, call in enumerate(step.call_args_list):
+        values, eps, term_set = call.args
+        assert values.tobytes() == rec.values[k].tobytes()
+        assert eps.tobytes() == bounds.tobytes() and term_set is TS
+
+
+@pytest.mark.parametrize("bounds", [np.full(20, 0.25), np.array(HETERO_CASE1)])
+def test_hk_run_record_is_hk_step_stepped_by_hand(reference_values, bounds):
+    rec = hk_run(reference_values, bounds, TS)
+    values, terms = reference_values, nearest_terms(TS, reference_values)
+    for k in range(rec.iterations + 1):
+        assert rec.values[k].tobytes() == values.tobytes()
+        assert rec.terms[k].tolist() == terms.tolist()
+        terms = baselines_mod.hk_step(values, bounds, TS)
+        values = TS.values[terms]
 
 
 def test_hk_run_homogeneous_030_matches_035(reference_values):

@@ -17,11 +17,17 @@ from opiniondyn import (
     random_network,
     run,
     step,
+)
+from opiniondyn.dynamics import StepResult, TrajectoryRecord
+from conftest import HETERO_CASE1, REFERENCE_TERMS, scaled
+from oracles import (
+    average,
+    degrees as node_degrees,
+    edges as edge_list,
+    empty_network,
+    filter_neighbors,
     update_value,
 )
-from opiniondyn.dynamics import StepResult, TrajectoryRecord, average
-from conftest import HETERO_CASE1, REFERENCE_TERMS, scaled
-from oracles import degrees as node_degrees, edges as edge_list, empty_network, filter_neighbors
 
 THRESH = ThreeWayThresholds(alpha=0.3, beta=0.6, decay=10.0)
 NO_REWIRE = RewiringParams(delta_add=0.15, delta_cut=0.45, p_add=0.0, p_cut=0.0)

@@ -1,10 +1,10 @@
 """The batched step kernel against scalar reference loops.
 
 The loops below restate the documented model one decision and one draw at
-a time, from the scalar rules ``classify_neighbor`` (in ``oracles.py``) and
-``update_value`` and a brute-force nearest-term scan. The batched ``step``,
+a time, from the scalar rules ``classify_neighbor`` and ``update_value`` (in
+``oracles.py``) and a brute-force nearest-term scan. The batched ``step``,
 ``filter_neighbors``, ``rewire``, ``random_network``, ``nearest_terms`` and
-``hk_step`` must match them exactly:
+the numeric ``hk_step`` must match them exactly:
 the same values, terms and adjacency, and the same number of uniform draws
 taken, which shows as the same next ``rng.random()`` on both generators.
 ``average_terms`` must match ``nearest_terms`` of the scalar ``average``,
@@ -26,7 +26,6 @@ from opiniondyn import (
     StepCounters,
     ThreeWayThresholds,
     build_term_set,
-    hk_step,
     nearest_term,
     nearest_terms,
     network,
@@ -34,13 +33,20 @@ from opiniondyn import (
     rewire,
     run,
     step,
-    update_value,
 )
 from opiniondyn import dynamics
-from opiniondyn.dynamics import average, average_terms
+from opiniondyn.dynamics import average_terms
 from opiniondyn.linguistic import MAX_PHI
 from conftest import REFERENCE_TERMS, scaled
-from oracles import acceptance_probability, classify_neighbor, filter_neighbors, hk_confidence_set
+from oracles import (
+    acceptance_probability,
+    average,
+    classify_neighbor,
+    filter_neighbors,
+    hk_confidence_set,
+    hk_step,
+    update_value,
+)
 
 unit = st.floats(0, 1)
 probabilities = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -361,7 +367,7 @@ def test_term_tables_hold_the_scalar_rule_and_are_read_only():
     # deltas equal to a term distance put pairs on both sides of the strict tests
     rewiring = RewiringParams(abs(v[1] - v[3]), abs(v[2] - v[5]), 0.5, 0.5)
     tables = dynamics._pair_tables(term_set, thresholds, rewiring)
-    close, far = tables.close, tables.far
+    close, far = tables.close, tables.close ^ tables.switch
     for a in range(term_set.size):
         for b in range(term_set.size):
             d = abs(v[a] - v[b])

@@ -26,11 +26,10 @@ from opiniondyn import (
     complete_network,
     metrics,
     run,
-    update_value,
 )
 from opiniondyn.metrics import default_cluster_tolerance
 from conftest import REFERENCE_TERMS, scaled
-from oracles import filter_neighbors
+from oracles import filter_neighbors, update_value
 
 TS = build_term_set(3, 2)
 THRESH = ThreeWayThresholds(alpha=0.3, beta=0.6, decay=10.0)
@@ -60,7 +59,7 @@ def wrapper_calls(fn):
 @pytest.mark.parametrize("seed", [5, 7])
 def test_a_run_and_its_cluster_count_call_no_numpy_wrapper(seed):
     # Seed 7 is the README run; seed 5 also re-averages near-midpoint rows
-    # through update_value and nearest_terms.
+    # through the scalar kernel behind update_value and nearest_terms.
     config = SimulationConfig(n_agents=20, initial_opinions=tuple(REFERENCE_TERMS), seed=seed,
                               initial_network=InitialNetworkSpec(edge_prob=0.1))
     tolerance = default_cluster_tolerance(config.term_set())
