@@ -12,15 +12,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import baselines, dynamics
+import numpy as np
+
+from . import baselines, dynamics, network
 from .config import MODELS, ConfigError, SimulationConfig, check_setting, load_config
 from .dynamics import TrajectoryRecord
-from .metrics import default_cluster_tolerance, trajectory_metrics
+from .metrics import default_cluster_tolerance, final_metrics, trajectory_metrics
 from .outputs import (
     METRICS_FILE,
     fmt_float,
     read_opinions,
-    summarize,
     write_csv,
     write_manifest,
     write_metrics,
@@ -29,7 +30,7 @@ from .outputs import (
 
 COMPARISON_FILE = "comparison.csv"
 SWEEP_FILE = "sweep.csv"
-# Columns of _summary_row after its label.
+# Columns of a _summary_rows row after its label.
 SUMMARY_COLUMNS = ["converged", "iterations", "variance", "range", "c_aad", "cluster_count"]
 
 
@@ -86,11 +87,13 @@ def cmd_run(config: SimulationConfig, outdir: Path) -> Path:
     return manifest
 
 
-def _summary_row(label: str | int, record: TrajectoryRecord, tolerance: float) -> list:
-    summary = summarize(record, tolerance)
-    final = summary["final"]
-    return [label, summary["converged"], summary["iterations"], fmt_float(final["variance"]),
-            fmt_float(final["range"]), fmt_float(final["c_aad"]), final["cluster_count"]]
+def _summary_rows(runs: list[tuple], finals, d_max: float, tolerance: float) -> list[list]:
+    """The comparison.csv or sweep.csv row of each (label, converged,
+    iterations) in ``runs``, with the final metrics of the matching row of
+    ``finals``: one :func:`metrics.final_metrics` call, as in summary.json."""
+    columns = [c.tolist() for c in final_metrics(finals, d_max, tolerance)]
+    return [[label, converged, iterations, fmt_float(v), fmt_float(r), fmt_float(c), k]
+            for (label, converged, iterations), v, r, c, k in zip(runs, *columns)]
 
 
 def cmd_compare(config: SimulationConfig, model_specs: list[str], outdir: Path) -> Path:
@@ -100,18 +103,19 @@ def cmd_compare(config: SimulationConfig, model_specs: list[str], outdir: Path) 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     tolerance = _cluster_tolerance(config)
-    rows = []
+    runs, finals = [], []
     outputs: dict[str, object] = {}
     for spec, derived in zip(model_specs, derived_configs):
         dirname = spec.replace(":", "_")
         while dirname in outputs:
             dirname += "_again"
         record = run_from_config(derived)
-        model_outputs = write_trajectory(record, outdir / dirname, tolerance)
-        outputs[dirname] = model_outputs
-        rows.append(_summary_row(spec, record, tolerance))
+        outputs[dirname] = write_trajectory(record, outdir / dirname, tolerance)
+        runs.append((spec, record.converged, record.iterations))
+        finals.append(record.final_values)
         print(f"compare: {spec} converged={record.converged} iterations={record.iterations}")
-    write_csv(outdir / COMPARISON_FILE, ["model", *SUMMARY_COLUMNS], rows)
+    write_csv(outdir / COMPARISON_FILE, ["model", *SUMMARY_COLUMNS],
+              _summary_rows(runs, finals, config.d_max, tolerance))
     outputs["comparison"] = COMPARISON_FILE
     return write_manifest(outdir, "compare", config.to_dict(),
                           config.seed, outputs)
@@ -130,18 +134,41 @@ def parse_seed_range(text: str) -> list[int]:
 
 
 def cmd_sweep(config: SimulationConfig, seeds: list[int], outdir: Path) -> Path:
+    """Run ``config`` once per seed and write one sweep.csv row per seed, in
+    seed order.
+
+    A run leaves only its converged flag, iteration count and final
+    opinions. The pending seeds are summarised together by
+    :func:`metrics.final_metrics` whenever their final opinions fill one block
+    of ``network.BLOCK_PAIRS`` opinions, so a sweep holds one block of final
+    opinions for any seed count. A failing seed's row records its error alone.
+    """
     if not seeds:
         raise ConfigError("seeds", "empty seed list")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     tolerance = _cluster_tolerance(config)
-    rows = []
+    finals = np.empty((max(1, network.BLOCK_PAIRS // config.n_agents), config.n_agents))
+    rows, pending = [], []
+
+    def summarise_pending():
+        if pending:
+            rows.extend(row + [""] for row in
+                        _summary_rows(pending, finals[:len(pending)], config.d_max, tolerance))
+            pending.clear()
+
     for seed in seeds:
         try:
             record = run_from_config(config.with_seed(seed))
-            rows.append(_summary_row(seed, record, tolerance) + [""])
+            finals[len(pending)] = record.final_values
         except Exception as exc:  # keep sweeping; the row records the failure
+            summarise_pending()
             rows.append([seed] + [""] * len(SUMMARY_COLUMNS) + [str(exc)])
+            continue
+        pending.append((seed, record.converged, record.iterations))
+        if len(pending) == len(finals):
+            summarise_pending()
+    summarise_pending()
     write_csv(outdir / SWEEP_FILE, ["seed", *SUMMARY_COLUMNS, "error"], rows)
     print(f"sweep: {len(seeds)} seeds -> {outdir / SWEEP_FILE}")
     return write_manifest(outdir, "sweep", config.to_dict(),

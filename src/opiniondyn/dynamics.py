@@ -56,19 +56,36 @@ class StepResult:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """Everything one run produced, iteration 0 (the initial state) included."""
+    """Everything one run produced, iteration 0 (the initial state) included.
+
+    Its columns are computed when first read and then kept: variance,
+    opinion_range, consensus and delta_max by one :func:`metrics.trajectory_metrics`
+    pass over the history, and avg_degree and isolated by one degree pass over
+    the snapshots (None for a record without snapshots). A sweep reads only
+    the final opinions, so its runs compute none of them.
+    """
 
     values: np.ndarray        # (iterations+1, n_agents) numeric opinions
     terms: np.ndarray         # (iterations+1, n_agents) term indices
     networks: list[SocialNetwork]
-    variance: np.ndarray
-    opinion_range: np.ndarray
-    consensus: np.ndarray
-    avg_degree: np.ndarray
-    isolated: np.ndarray
-    delta_max: np.ndarray     # NaN at iteration 0 (no preceding state)
     converged: bool
     iterations: int
+    d_max: float              # the consensus index's normalizer
+
+    @functools.cached_property
+    def _history(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return metrics_mod.trajectory_metrics(self.values, self.d_max)
+
+    @functools.cached_property
+    def _degrees(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        return _degree_columns(self.networks, self.n_agents)
+
+    variance = property(lambda self: self._history[0])
+    opinion_range = property(lambda self: self._history[1])
+    consensus = property(lambda self: self._history[2])
+    delta_max = property(lambda self: self._history[3])  # NaN at iteration 0
+    avg_degree = property(lambda self: self._degrees[0])
+    isolated = property(lambda self: self._degrees[1])
 
     @property
     def n_agents(self) -> int:
@@ -82,17 +99,19 @@ class TrajectoryRecord:
     def from_states(cls, states: list[StepResult], converged: bool,
                     d_max: float) -> "TrajectoryRecord":
         values = np.array([s.values for s in states], dtype=float)
-        var, rng_, cons, dmax = metrics_mod.trajectory_metrics(values, d_max)
-        networks = [s.network for s in states]
-        degrees = np.empty((len(networks), values.shape[1]), dtype=np.intp)
-        for net, row in zip(networks, degrees):
-            row_counts(net.adjacency, row)
-        return cls(
-            values=values, terms=np.array([s.terms for s in states], dtype=int), networks=networks,
-            variance=var, opinion_range=rng_, consensus=cons, delta_max=dmax, converged=converged,
-            avg_degree=np.add.reduce(degrees, 1, float) / degrees.shape[1],  # mean(axis=1)
-            isolated=np.add.reduce(degrees == 0, 1), iterations=values.shape[0] - 1,
-        )
+        return cls(values, np.array([s.terms for s in states], dtype=int),
+                   [s.network for s in states], converged, values.shape[0] - 1, d_max)
+
+
+def _degree_columns(networks: list[SocialNetwork], n_agents: int):
+    """The mean degree and the isolated-agent count of each snapshot."""
+    if not networks:
+        return None, None
+    degrees = np.empty((len(networks), n_agents), dtype=np.intp)
+    for net, row in zip(networks, degrees):
+        row_counts(net.adjacency, row)
+    return (np.add.reduce(degrees, 1, float) / n_agents,  # mean(axis=1)
+            np.add.reduce(degrees == 0, 1))
 
 
 def _classes(dist: np.ndarray, thresholds: ThreeWayThresholds) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 """Consensus measurement: dispersion, extremes, normalized agreement, clusters.
-All but cluster_count take a state (giving a float) or a history, one state per row.
-Reductions call numpy's ufunc kernels, not its slower Python-level wrappers."""
+All but cluster_count take a state (giving a float) or a history, one state per row;
+final_metrics takes a stack of final states. Reductions call numpy's ufunc kernels,
+not its slower Python-level wrappers."""
 
 from __future__ import annotations
 
@@ -92,13 +93,18 @@ def cluster_count(opinions, tolerance: float) -> int:
     gaps merge transitively. tolerance = 0 counts distinct values. NaN
     opinions are rejected: a NaN gap would compare False and vanish.
     """
+    return int(_cluster_counts(opinions, tolerance, max_ndim=1))
+
+
+def _cluster_counts(opinions, tolerance: float, max_ndim: int = 2) -> np.ndarray:
+    """cluster_count of a state, or of each row of a stack of states."""
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
-    arr = as_opinions(opinions, max_ndim=1).copy()
+    arr = as_opinions(opinions, max_ndim).copy()
     arr.sort()
-    if np.isnan(arr[-1]):  # sorting puts any NaN last
+    if np.logical_or.reduce(np.isnan(arr[..., -1]), None):  # sorting puts any NaN last
         raise ValueError("opinions must not be NaN")
-    return 1 + int(np.add.reduce(arr[1:] - arr[:-1] > tolerance))
+    return 1 + np.add.reduce(arr[..., 1:] - arr[..., :-1] > tolerance, -1)
 
 
 def delta_max(previous, current):
@@ -110,16 +116,33 @@ def delta_max(previous, current):
     return _per_state(np.maximum.reduce(np.abs(curr - prev), -1))
 
 
+def _state_metrics(states: np.ndarray, d_max: float):
+    """Variance, range and consensus index of each row of a 2-d stack of states."""
+    lo, hi = _extremes(states)
+    deviations = _deviations(states, (lo, hi))
+    return _variance(deviations), hi[:, 0] - lo[:, 0], _consensus(deviations, d_max)
+
+
 def trajectory_metrics(states, d_max: float):
     """Variance, range, consensus index and delta_max of a history, one state
     per row; delta_max compares a state with the one before, NaN for the first."""
     states = as_opinions(states)
     if states.ndim != 2:
         raise ValueError("a history is 2-d, one state per row")
-    lo, hi = _extremes(states)
-    deviations = _deviations(states, (lo, hi))
     moves = np.concatenate(([np.nan], delta_max(states[:-1], states[1:])))
-    return _variance(deviations), hi[:, 0] - lo[:, 0], _consensus(deviations, d_max), moves
+    return (*_state_metrics(states, d_max), moves)
+
+
+def final_metrics(states, d_max: float, tolerance: float):
+    """Variance, range, consensus index and cluster count of each state of a
+    stack of final states, one row per state: the final metrics of
+    summary.json and the rows of comparison.csv and sweep.csv. Each row's
+    first three are bit for bit those of :func:`trajectory_metrics` on a
+    history that ends in it."""
+    states = as_opinions(states)
+    if states.ndim != 2:
+        raise ValueError("a stack of final states is 2-d, one state per row")
+    return (*_state_metrics(states, d_max), _cluster_counts(states, tolerance))
 
 
 def default_cluster_tolerance(term_set: LinguisticTermSet) -> float:

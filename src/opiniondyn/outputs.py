@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import TrajectoryRecord
-from .metrics import cluster_count
+from .metrics import final_metrics
 from .network import SocialNetwork, mask_below_diagonal, row_blocks, row_counts
 
 OPINIONS_FILE = "opinions.csv"
@@ -198,21 +198,24 @@ def write_metrics(path: Path, iterations, variance, opinion_range, consensus, de
 
 
 def summarize(record: TrajectoryRecord, cluster_tolerance: float) -> dict:
-    """Seed-free digest of a finished run (final-state metrics); the rows of
-    comparison.csv and sweep.csv are read off it too."""
-    final_dm = record.delta_max[-1]
+    """Seed-free digest of a finished run. Its final variance, range, c_aad
+    and cluster count come from :func:`metrics.final_metrics`, the function
+    behind the rows of comparison.csv and sweep.csv, so the three files agree."""
+    (variance,), (spread,), (c_aad,), (clusters,) = final_metrics(
+        record.final_values[None], record.d_max, cluster_tolerance)
+    avg_degree, isolated, final_dm = record.avg_degree, record.isolated, record.delta_max[-1]
     return {
         "converged": record.converged,
         "iterations": record.iterations,
         "n_agents": record.n_agents,
         "cluster_tolerance": cluster_tolerance,
         "final": {
-            "variance": float(record.variance[-1]),
-            "range": float(record.opinion_range[-1]),
-            "c_aad": float(record.consensus[-1]),
-            "cluster_count": cluster_count(record.final_values, cluster_tolerance),
-            "average_degree": float(record.avg_degree[-1]),
-            "isolated_count": int(record.isolated[-1]),
+            "variance": float(variance),
+            "range": float(spread),
+            "c_aad": float(c_aad),
+            "cluster_count": int(clusters),
+            "average_degree": None if avg_degree is None else float(avg_degree[-1]),
+            "isolated_count": None if isolated is None else int(isolated[-1]),
             "delta_max": None if math.isnan(final_dm) else float(final_dm),
         },
     }

@@ -5,13 +5,14 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from opiniondyn import cli, dynamics, outputs
+from opiniondyn import cli, dynamics, network, outputs
 from opiniondyn.config import ConfigError, load_config
 from opiniondyn.outputs import write_trajectory
-from conftest import REFERENCE_TERMS
+from conftest import HETERO_CASE1, REFERENCE_TERMS
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -236,6 +237,78 @@ def test_sweep_records_per_seed_failures(tmp_path, monkeypatch):
     rows = read_rows(out / "sweep.csv")
     assert rows[1]["seed"] == "2" and rows[1]["error"] == "boom"
     assert rows[0]["error"] == "" and rows[2]["error"] == ""
+
+
+def summary_row(summary: dict) -> dict:
+    """The comparison.csv and sweep.csv columns of a summary.json, as text."""
+    final = summary["final"]
+    return {"converged": str(summary["converged"]), "iterations": str(summary["iterations"]),
+            "variance": repr(final["variance"]), "range": repr(final["range"]),
+            "c_aad": repr(final["c_aad"]), "cluster_count": str(final["cluster_count"])}
+
+
+@pytest.mark.parametrize("overrides,seeds", [
+    ({"initial_network": {"edge_prob": 0.1}}, 40),  # the README scenario
+    ({"model": "degroot-distance"}, 3),  # values off the term scale
+], ids=["readme", "degroot-distance"])
+def test_sweep_rows_equal_each_seeds_own_summary(tmp_path, overrides, seeds):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--seeds", f"1..{seeds}"]) == 0
+    rows = read_rows(out / "sweep.csv")
+    assert [row["seed"] for row in rows] == [str(seed) for seed in range(1, seeds + 1)]
+    for row in rows:
+        run_out = tmp_path / f"run_{row['seed']}"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(run_out),
+                         "--seed", row["seed"]]) == 0
+        summary = json.loads((run_out / "summary.json").read_text())
+        assert row == {"seed": row["seed"], **summary_row(summary), "error": ""}
+        # ... and the last row of the run's own metrics.csv
+        last = read_rows(run_out / "metrics.csv")[-1]
+        assert [last[c] for c in ("variance", "range", "c_aad")] == \
+            [row[c] for c in ("variance", "range", "c_aad")]
+
+
+def test_comparison_rows_equal_each_models_summary(tmp_path):
+    cfg = write_config(tmp_path, initial_network={"edge_prob": 0.1},
+                       hk={"epsilon": 0.25, "epsilons": list(HETERO_CASE1)})
+    out = tmp_path / "cmp"
+    models = ["threeway", "degroot-uniform", "degroot-distance", "hk-homogeneous:0.10",
+              "hk-heterogeneous"]
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(out),
+                     "--models", ",".join(models)]) == 0
+    rows = read_rows(out / "comparison.csv")
+    assert [row["model"] for row in rows] == models
+    for row in rows:
+        summary = json.loads((out / row["model"].replace(":", "_") / "summary.json").read_text())
+        assert row == {"model": row["model"], **summary_row(summary)}
+
+
+@pytest.mark.parametrize("seeds_per_block", [1, 2, 3])
+def test_sweep_summarises_one_block_of_final_opinions_at_a_time(tmp_path, monkeypatch,
+                                                                seeds_per_block):
+    config = load_config(write_config(tmp_path, initial_network={"edge_prob": 0.1}))
+    real = cli.run_from_config
+
+    def flaky(config):
+        if config.seed == 4:
+            raise RuntimeError("boom")
+        return real(config)
+
+    monkeypatch.setattr(cli, "run_from_config", flaky)
+    seeds = list(range(1, 9))
+    cli.cmd_sweep(config, seeds, tmp_path / "whole")
+    monkeypatch.setattr(network, "BLOCK_PAIRS", seeds_per_block * config.n_agents)
+    with mock.patch.object(cli, "final_metrics", wraps=cli.final_metrics) as batch:
+        cli.cmd_sweep(config, seeds, tmp_path / "blocks")
+    whole = (tmp_path / "whole" / "sweep.csv").read_bytes()
+    assert (tmp_path / "blocks" / "sweep.csv").read_bytes() == whole
+    sizes = [len(call.args[0]) for call in batch.call_args_list]
+    assert sum(sizes) == len(seeds) - 1 and max(sizes) == seeds_per_block
+    rows = read_rows(tmp_path / "whole" / "sweep.csv")
+    assert [row["error"] for row in rows] == ["", "", "", "boom", "", "", "", ""]
+    assert rows[3] == {"seed": "4", **dict.fromkeys(cli.SUMMARY_COLUMNS, ""), "error": "boom"}
 
 
 def test_metrics_command_recomputes_run_metrics(tmp_path):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from opiniondyn import (
     build_term_set,
     cli,
     complete_network,
+    dynamics,
     metrics,
     nearest_term,
     network_from_edges,
@@ -18,6 +21,7 @@ from opiniondyn import (
     run,
     step,
 )
+from opiniondyn.config import config_from_dict
 from opiniondyn.dynamics import StepResult, TrajectoryRecord
 from conftest import HETERO_CASE1, REFERENCE_TERMS, scaled
 from oracles import (
@@ -268,6 +272,26 @@ def test_record_degrees_match_each_snapshots_degrees(n):
     assert record.isolated.dtype.kind == "i"
     if n == 64:  # some random snapshot has isolated agents and some has none
         assert 0 < record.isolated[2] < n and record.isolated[4] == 0
+
+
+def test_record_columns_are_computed_on_first_read_only(tmp_path):
+    config = config_from_dict({"n_agents": 20, "initial_opinions": REFERENCE_TERMS, "seed": 7,
+                               "initial_network": {"edge_prob": 0.1}})
+    with mock.patch.object(metrics, "trajectory_metrics", wraps=metrics.trajectory_metrics) as history, \
+            mock.patch.object(dynamics, "_degree_columns", wraps=dynamics._degree_columns) as degrees:
+        record = run(config)
+        cli.cmd_sweep(config, [1, 2, 3, 4, 5], tmp_path)
+        assert (history.call_count, degrees.call_count) == (0, 0)
+        variance = record.variance
+        assert record.variance is variance
+        record.opinion_range, record.consensus, record.delta_max
+        assert (history.call_count, degrees.call_count) == (1, 0)
+        record.avg_degree, record.isolated, record.avg_degree
+        assert (history.call_count, degrees.call_count) == (1, 1)
+    columns = metrics.trajectory_metrics(record.values, config.d_max)
+    for got, want in zip((record.variance, record.opinion_range, record.consensus,
+                          record.delta_max), columns):
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=scaled(25), deadline=None)

@@ -15,7 +15,7 @@ from opiniondyn import (
     opinion_range,
     variance,
 )
-from opiniondyn.metrics import trajectory_metrics
+from opiniondyn.metrics import final_metrics, trajectory_metrics
 from conftest import scaled
 
 TWO_CLUSTER = np.array([0.0] * 5 + [0.5] * 15)
@@ -189,6 +189,25 @@ def test_history_metrics_equal_per_state_calls(hist, d_max):
             assert same_bits(got, want)
     with pytest.raises(ValueError):
         cluster_count(hist, 0.1)  # one state only
+
+
+@settings(max_examples=scaled(100))
+@given(stack=histories(), d_max=st.sampled_from([0.5, 0.3, 1.0, 7.0]),
+       tolerance=st.sampled_from([0.0, 0.05, default_cluster_tolerance(build_term_set(3, 2))]))
+@example(stack=np.array([[0.0, 8.04e-274], [0.5, 0.5]]), d_max=0.5, tolerance=0.0)
+def test_final_metrics_equal_each_histories_last_row(stack, d_max, tolerance):
+    # Each row of a stack of final states gets the last row of the metrics of
+    # a history that ends in it, whatever else the stack holds.
+    var, range_, cons, clusters = final_metrics(stack, d_max, tolerance)
+    for k, state in enumerate(stack):
+        history = np.array([np.linspace(0.0, 1.0, state.size), state])
+        assert same_bits([c[-1] for c in trajectory_metrics(history, d_max)[:3]],
+                         [var[k], range_[k], cons[k]])
+        assert clusters[k] == cluster_count(state, tolerance)
+    with pytest.raises(ValueError, match="2-d"):
+        final_metrics(stack[0], d_max, tolerance)
+    with pytest.raises(ValueError, match="NaN"):
+        final_metrics(np.vstack([stack, np.full(stack.shape[1], np.nan)]), d_max, tolerance)
 
 
 def test_trajectory_metrics_needs_a_history_of_states():

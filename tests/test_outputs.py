@@ -98,11 +98,10 @@ def test_opinions_file_memory_is_one_block(tmp_path):
     # Off-scale values give every cell its own label: the writer's worst case.
     rng = np.random.default_rng(5)
     shape = (11, 20000)
-    zeros = np.zeros(shape[0])
     record = TrajectoryRecord(
         values=rng.random(shape), terms=rng.integers(0, 7, shape), networks=[],
-        variance=zeros, opinion_range=zeros, consensus=zeros, avg_degree=zeros,
-        isolated=zeros.astype(int), delta_max=zeros, converged=False, iterations=shape[0] - 1)
+        converged=False, iterations=shape[0] - 1, d_max=0.5)
+    record.variance, record.avg_degree  # computed on first read, outside the writer
     tracemalloc.start()
     try:
         write_trajectory(record, tmp_path, 0.01)

@@ -71,6 +71,23 @@ def test_a_run_and_its_cluster_count_call_no_numpy_wrapper(seed):
     assert wrapper_calls(run_and_count) == []
 
 
+def test_record_columns_and_final_metrics_call_no_numpy_wrapper():
+    # A run computes no column; its record computes them when they are read.
+    config = SimulationConfig(n_agents=20, initial_opinions=tuple(REFERENCE_TERMS), seed=7,
+                              initial_network=InitialNetworkSpec(edge_prob=0.1))
+    tolerance = default_cluster_tolerance(config.term_set())
+    columns = ("variance", "opinion_range", "consensus", "delta_max", "avg_degree", "isolated")
+
+    def read_columns():
+        record = run(config)
+        for name in columns:
+            getattr(record, name)
+        metrics.final_metrics(record.values, config.d_max, tolerance)
+
+    read_columns()  # warm the caches and lazy imports
+    assert wrapper_calls(read_columns) == []
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
