@@ -275,7 +275,8 @@ class SimulationConfig:
 def _echo(value):
     """JSON form of a field value: tuples as lists, components as objects."""
     if isinstance(value, tuple):
-        return [_echo(v) for v in value]
+        # Only an edge list nests tuples; a tuple of numbers is one list.
+        return [_echo(v) for v in value] if value and isinstance(value[0], tuple) else list(value)
     if is_dataclass(value):
         return {_key(c): _echo(getattr(value, c.name))
                 for c in fields(value) if getattr(value, c.name) is not None}

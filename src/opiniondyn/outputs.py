@@ -3,9 +3,9 @@
 All data files are byte-deterministic for a given record: floats are written
 with repr (shortest round-trip form) and JSON documents with a fixed layout.
 The manifest is the only file carrying the seed and a timestamp. Every file
-is written as bytes through :func:`_write`, so no line end depends on the
-platform, and the tables and edge lists are formatted from one label-text
-format: fixed-width, NUL-padded labels gathered by ``take``.
+is written in binary mode through :func:`_write`, so no line end depends on
+the platform, and the tables and edge lists are formatted from one
+label-text format: fixed-width, NUL-padded labels gathered by ``take``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .dynamics import TrajectoryRecord
 from .metrics import final_metrics
-from .network import SocialNetwork, mask_below_diagonal, row_blocks, row_counts
+from .network import SocialNetwork, mask_below_diagonal, row_blocks
 
 OPINIONS_FILE = "opinions.csv"
 TERMS_FILE = "terms.csv"
@@ -40,8 +40,9 @@ def fmt_float(v: float) -> str:
 
 
 def _write(path: Path, chunks) -> None:
-    """Write an iterable of byte chunks to ``path``: the one place a file is
-    opened for writing."""
+    """Write an iterable of byte chunks (bytes, or C-contiguous arrays whose
+    buffer is the bytes) to ``path``: the one place a file is opened for
+    writing."""
     try:
         with open(path, "wb") as fh:
             fh.writelines(chunks)
@@ -113,26 +114,36 @@ def _table_chunks(header: list[str], *columns: np.ndarray):
 
 
 def _edge_chunks(net: SocialNetwork):
-    """The edge lines of each row block of the upper triangle, as bytes: the
-    labels of each edge's row and column side by side, padding stripped. A
-    block that starts at the first label of full width or later holds no
-    padding: its rows and columns all have full-width labels."""
+    """The edge lines of each row block of the upper triangle: the labels of
+    each edge's row and column side by side. Only the lines of rows below
+    the first full-width label hold padding, and only those are stripped, as
+    bytes; the rest of a block is yielded as its line array, whose buffer is
+    their text."""
     n = net.size
     row_labels, col_labels = index_labels(n, " "), index_labels(n, "\n")
     padded = 10 ** (len(str(n - 1)) - 1)
     for rows in row_blocks(n):
         first = rows.start + 1
+        width = n - first
+        if not width:  # a block of the last row alone holds no pair
+            break
         upper = net.adjacency[rows, first:].copy()
         mask_below_diagonal(upper)
         cols = upper.ravel().nonzero()[0]
+        # cols ascend, so each row's edges are one run of them, and these are
+        # where the runs start, then the number of edges
+        starts = np.arange(0, upper.size + 1, width)
+        runs = cols.searchsorted(starts)
+        per_row = runs[1:] - runs[:-1]
         # Each row's flat offset subtracted from its edges leaves the column.
-        counts = row_counts(upper)
-        cols -= np.repeat(np.arange(counts.size) * upper.shape[1], counts)
+        cols -= starts[:-1].repeat(per_row)
         lines = np.empty((cols.size, 2), dtype=row_labels.dtype)
-        lines[:, 0] = np.repeat(row_labels[rows], counts)
+        lines[:, 0] = row_labels[rows].repeat(per_row)
         lines[:, 1] = col_labels[first:].take(cols)
-        text = lines.tobytes()
-        yield text.translate(None, b"\0") if rows.start < padded else text
+        # the lines of the block's rows below the first full-width label
+        split = runs[min(max(padded - rows.start, 0), per_row.size)]
+        yield lines[:split].tobytes().translate(None, b"\0")
+        yield lines[split:]
 
 
 def save_edge_list(net: SocialNetwork, path) -> None:

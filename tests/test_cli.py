@@ -51,8 +51,13 @@ def test_run_command_outputs(tmp_path):
     assert manifest["outputs"]["opinions"] == "opinions.csv"
 
 
-def test_manifest_echo_reproduces_run(tmp_path):
-    cfg = write_config(tmp_path)
+@pytest.mark.parametrize("overrides", [
+    {},
+    # explicit edges take the echo's nested path: a list of [i, j] lists
+    {"initial_network": {"edges": [[0, 1], [2, 3], [3, 19], [5, 12], [12, 17]]}},
+], ids=["random", "edges"])
+def test_manifest_echo_reproduces_run(tmp_path, overrides):
+    cfg = write_config(tmp_path, **overrides)
     first = tmp_path / "first"
     assert cli.main(["run", "--config", str(cfg), "--out", str(first)]) == 0
     echo = json.loads((first / "manifest.json").read_text())["config"]
@@ -60,7 +65,10 @@ def test_manifest_echo_reproduces_run(tmp_path):
     echoed_cfg.write_text(json.dumps(echo))
     second = tmp_path / "second"
     assert cli.main(["run", "--config", str(echoed_cfg), "--out", str(second)]) == 0
-    for name in ("opinions.csv", "terms.csv", "metrics.csv", "summary.json"):
+    edge_files = sorted(path.name for path in first.glob("network_*.edges"))
+    assert edge_files == sorted(path.name for path in second.glob("network_*.edges"))
+    assert len(edge_files) >= 2
+    for name in ["opinions.csv", "terms.csv", "metrics.csv", "summary.json", *edge_files]:
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 

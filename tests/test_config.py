@@ -120,10 +120,10 @@ def test_echo_round_trips():
         "degroot": {"freeze_weights": True},
     }
     cfg = config_from_dict(raw)
-    echoed = config_from_dict(cfg.to_dict())
-    assert echoed == cfg
-    # echo is JSON-serializable as-is
-    json.dumps(cfg.to_dict())
+    echo = cfg.to_dict()
+    assert config_from_dict(echo) == cfg
+    # the echo holds only JSON types: no tuple is left at any depth
+    assert echo == json.loads(json.dumps(echo))
 
 
 @pytest.mark.parametrize("value", [True, "0.3"])
@@ -242,6 +242,7 @@ def valid_configs(draw):
 def test_echo_round_trips_any_valid_config(cfg):
     echo = cfg.to_dict()
     assert config_from_dict(echo) == cfg
+    assert echo == json.loads(json.dumps(echo))
     assert config_from_dict(json.loads(json.dumps(echo))) == cfg
 
 
